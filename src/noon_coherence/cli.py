@@ -12,8 +12,7 @@ Subcommands expose the library pipelines as plot-ready CSV/JSON emitters:
              chain over ingested data rows
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Output is
-written atomically; NOON_COHERENCE_THREADS caps internal parallel sweeps
-without affecting the emitted bytes.
+written atomically.
 """
 
 from __future__ import annotations
@@ -35,17 +34,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_PRECISION = 12
-
-
-def worker_count() -> int:
-    raw = os.environ.get("NOON_COHERENCE_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"NOON_COHERENCE_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ValueError("NOON_COHERENCE_THREADS must be >= 1")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +309,7 @@ def cmd_fringes(args: argparse.Namespace) -> int:
     recipe = states.StateRecipe.from_json(recipe_obj)
     state = recipe.build()
     grid = int(args.k if args.k is not None else 256)
-    scan = interferometry.binned_probability_scan(
-        state, int(args.m), grid, workers=worker_count()
-    )
+    scan = interferometry.binned_probability_scan(state, int(args.m), grid)
     fmt, precision = _output_style(args)
     scan_rows = [[phi, p] for phi, p in zip(scan.phases, scan.probabilities)]
     spec_rows = [[omega, mag] for omega, mag in enumerate(scan.spectrum)]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coherence import catness_fidelity
 from .errors import NoOscillationError
-from .fock import FixedNState
+from .fock import FixedNState, ladder_coefficients
 
 DEGENERACY_FLOOR_ULPS = 64  # pair gaps below this many ulps of |H| are noise
 
@@ -54,7 +54,7 @@ def build_hamiltonian(
     n_tot = total_number
     m = np.arange(n_tot + 1)
     diag = 0.5 * nonlinearity * ((n_tot - m) * (n_tot - m - 1) + m * (m - 1))
-    off = coupling * np.sqrt((m[:-1] + 1.0) * (n_tot - m[:-1]))
+    off = coupling * ladder_coefficients(n_tot)
     ham = np.diag(diag.astype(float)) + np.diag(off, 1) + np.diag(off, -1)
     energies, vectors = np.linalg.eigh(ham)
     return JosephsonSystem(n_tot, coupling, nonlinearity, ham, energies, vectors)

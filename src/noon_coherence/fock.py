@@ -302,9 +302,15 @@ def cross_moment(state: State, n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def ladder_coefficients(n_tot: int) -> np.ndarray:
+    """sqrt((m+1)(N-m)) for m = 0..N-1: the b^dag a element coupling m to m+1
+    in the |N-m>_a |m>_b sector basis (a^dag b couples m+1 back to m)."""
+    m = np.arange(n_tot)
+    return np.sqrt((m + 1) * (n_tot - m))
+
+
 def _sector_jx(d: np.ndarray, n_tot: int) -> np.ndarray:
-    m = np.arange(n_tot + 1)
-    up = np.sqrt((m[:-1] + 1) * (n_tot - m[:-1]))  # couples m <-> m+1
+    up = ladder_coefficients(n_tot)
     out = np.zeros_like(d)
     out[:-1] += 0.5 * up * d[1:]
     out[1:] += 0.5 * up * d[:-1]
@@ -312,8 +318,7 @@ def _sector_jx(d: np.ndarray, n_tot: int) -> np.ndarray:
 
 
 def _sector_jy(d: np.ndarray, n_tot: int) -> np.ndarray:
-    m = np.arange(n_tot + 1)
-    up = np.sqrt((m[:-1] + 1) * (n_tot - m[:-1]))
+    up = ladder_coefficients(n_tot)
     out = np.zeros_like(d)
     out[:-1] += up * d[1:] / 2j
     out[1:] -= up * d[:-1] / 2j

@@ -14,7 +14,6 @@ that survives that validation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .fock import (
     State,
     TwoModeDensityMatrix,
     annihilation_matrix,
+    ladder_coefficients,
     log_factorial,
     moment,
     pad_cutoff,
@@ -44,58 +44,60 @@ def beam_splitter_matrix(phi: float) -> np.ndarray:
     return np.array([[1.0, ph], [1.0, -ph]], dtype=complex) / np.sqrt(2.0)
 
 
-def mode_transform(state: FixedNState, u: np.ndarray) -> FixedNState:
-    """Rewrite a fixed-N state in the modes (c, d) = U (a, b).
+def _mode_generator(u: np.ndarray) -> np.ndarray:
+    """Hermitian K with U = exp(iK), from U = e^{i alpha} (cos t + i sin t n.sigma)."""
+    alpha = 0.5 * np.angle(np.linalg.det(u))
+    v = u * np.exp(-1j * alpha)  # in SU(2)
+    h = (v - v.conj().T) / 2j  # sin(t) n.sigma
+    sin_t = np.linalg.norm(h) / np.sqrt(2.0)
+    t = np.arctan2(sin_t, 0.5 * np.trace(v).real)
+    if sin_t == 0.0:  # v = +-1: no axis, all phase
+        return (alpha + t) * np.eye(2)
+    return alpha * np.eye(2) + (t / sin_t) * h
 
-    Uses a^dag = U00 c^dag + U10 d^dag, b^dag = U01 c^dag + U11 d^dag and
-    expands the creation polynomial by binomial convolution, which is stable
-    in float64 for N up to roughly 150.
+
+def sector_unitary(total_number: int, u: np.ndarray) -> np.ndarray:
+    """Matrix of the mode map (c, d) = U (a, b) on the fixed-N sector.
+
+    Column m holds |N-m>_a |m>_b written in the |N-j>_c |j>_d basis.  With
+    U = exp(iK) the map is exp(i sum_ij K_ij e_i^dag e_j), whose sector image
+    is tridiagonal; it is exponentiated through ``eigh``, so the result is
+    unitary to rounding for any N.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > EQ_TOL:
         raise ValueError("mode transform must be a 2x2 unitary matrix")
+    k = _mode_generator(u)
+    m = np.arange(total_number + 1)
+    up = ladder_coefficients(total_number)
+    gen = np.diag(k[0, 0].real * (total_number - m) + k[1, 1].real * m).astype(complex)
+    gen += np.diag(k[0, 1] * up, 1) + np.diag(k[1, 0] * up, -1)
+    energies, vectors = np.linalg.eigh(gen)
+    return (vectors * np.exp(1j * energies)) @ vectors.conj().T
+
+
+def mode_transform(state: FixedNState, u: np.ndarray) -> FixedNState:
+    """Rewrite a fixed-N state in the modes (c, d) = U (a, b)."""
     n_tot = state.total_number
-    coeffs = np.zeros(n_tot + 1, dtype=complex)  # coefficient of (c^dag)^j (d^dag)^(N-j)
-    for m, amp in enumerate(state.amplitudes):
-        if amp == 0:
-            continue
-        ka = n_tot - m  # power of a^dag
-        ia = np.arange(ka + 1)
-        ib = np.arange(m + 1)
-        pa = np.exp(
-            log_factorial(ka) - log_factorial(ia) - log_factorial(ka - ia)
-        ) * u[0, 0] ** ia * u[1, 0] ** (ka - ia)
-        pb = np.exp(
-            log_factorial(m) - log_factorial(ib) - log_factorial(m - ib)
-        ) * u[0, 1] ** ib * u[1, 1] ** (m - ib)
-        conv = np.convolve(pa, pb)
-        coeffs += amp * np.exp(-0.5 * (log_factorial(ka) + log_factorial(m))) * conv
-    j = np.arange(n_tot + 1)
-    weights = np.exp(0.5 * (log_factorial(j) + log_factorial(n_tot - j)))
-    out = np.zeros(n_tot + 1, dtype=complex)
-    out[n_tot - j] = coeffs[j] * weights  # amplitude of |j>_c |N-j>_d
-    return FixedNState(n_tot, out)
+    return FixedNState(n_tot, sector_unitary(n_tot, u) @ state.amplitudes)
 
 
 def mode_transform_density(
     rho: TwoModeDensityMatrix, u: np.ndarray
 ) -> TwoModeDensityMatrix:
-    """Apply the mode map to a density matrix, sector by sector."""
+    """Apply the mode map to a density matrix, one sector block at a time."""
     if rho.max_supported_total(TRUNCATION_EPS) > rho.cutoff:
         raise TruncationError(
             "mode rotation needs all occupied total-number sectors inside the cutoff"
         )
     dim = rho.cutoff + 1
-    big = np.eye(dim * dim, dtype=complex)
-    for total in range(0, rho.cutoff + 1):
-        flat = [(total - m) * dim + m for m in range(total + 1)]
-        block = np.empty((total + 1, total + 1), dtype=complex)
-        for col in range(total + 1):
-            basis = np.zeros(total + 1, dtype=complex)
-            basis[col] = 1.0
-            block[:, col] = mode_transform(FixedNState(total, basis), u).amplitudes
-        big[np.ix_(flat, flat)] = block
-    out = big @ rho.entries @ big.conj().T
+    out = np.array(rho.entries)
+    for total in range(rho.cutoff + 1):
+        m = np.arange(total + 1)
+        flat = (total - m) * dim + m
+        block = sector_unitary(total, u)
+        out[flat, :] = block @ out[flat, :]
+        out[:, flat] = out[:, flat] @ block.conj().T
     out = (out + out.conj().T) / 2.0
     return TwoModeDensityMatrix(rho.cutoff, out)
 
@@ -130,9 +132,9 @@ def fringe_visibility(state: State) -> float:
 class FringeScan:
     """P(n_c >= M) over a uniform phase grid plus its Fourier magnitudes.
 
-    ``spectrum[w]`` is the magnitude at integer angular frequency w = 0..K/2:
-    exactly 0.0 where no amplitude-index difference of the state folds onto
-    w, and the DFT magnitude of the sampled scan everywhere else.
+    ``spectrum[w]`` is the magnitude of the exact Fourier coefficient at
+    integer angular frequency w = 0..K/2, folded modulo the grid size K; a
+    bin that no amplitude-index difference of the state reaches is exactly 0.0.
     """
 
     phases: np.ndarray
@@ -149,38 +151,16 @@ class FringeScan:
         return int(np.argmax(self.spectrum[1:])) + 1
 
 
-def _dft_magnitudes(values: np.ndarray) -> np.ndarray:
-    # Plain O(K^2) transform at integer angular frequencies; K <= a few
-    # hundred keeps this trivial and dependency-free.
-    k = len(values)
-    omegas = np.arange(k // 2 + 1)
-    phases = 2.0 * np.pi * np.arange(k) / k
-    kernel = np.exp(-1j * np.outer(omegas, phases))
-    return np.abs(kernel @ values) / k
-
-
-def _reachable_bins(amplitudes: np.ndarray, grid_size: int) -> np.ndarray:
-    # The phase enters amplitude d_m as e^{i phi m}, so P(phi) only holds the
-    # frequencies m' - m of occupied index pairs; on a K-point grid each one
-    # folds modulo K onto the bins 0..K/2.
-    occupied = (amplitudes != 0).astype(float)
-    diffs = np.flatnonzero(np.convolve(occupied, occupied[::-1]) > 0)
-    folded = (diffs - (len(amplitudes) - 1)) % grid_size
-    reachable = np.zeros(grid_size // 2 + 1, dtype=bool)
-    reachable[np.minimum(folded, grid_size - folded)] = True
-    return reachable
-
-
 def binned_probability_scan(
-    state: FixedNState, bin_threshold: int, grid_size: int = 256, workers: int = 1
+    state: FixedNState, bin_threshold: int, grid_size: int = 256
 ) -> FringeScan:
     """Exact P(n_c >= M)(phi) over a power-of-two phase grid, with spectrum.
 
-    The probability is summed from the rotated state's number distribution,
-    never from a truncated moment expansion. A spectrum bin that no
-    difference m' - m of occupied amplitude indices reaches (folded modulo
-    the grid size onto 0..K/2) is exactly 0.0; every other bin is the DFT
-    magnitude of the sampled scan, aliasing included when K <= 2N.
+    The phase enters amplitude d_m as e^{i phi m}, so with R the rotation at
+    phi = 0 and G = R^dag Pi_M R (Pi_M keeps n_c >= M),
+    P(phi) = sum_w c_w e^{i w phi} with c_w = sum_{m - m' = w} conj(d_m') d_m G[m', m].
+    The coefficients are summed exactly, folded modulo the grid size K
+    (aliasing included when K <= 2N); the scan is their inverse transform.
     """
     n_tot = state.total_number
     if not 0 <= bin_threshold <= n_tot:
@@ -188,30 +168,33 @@ def binned_probability_scan(
     if grid_size < 2 or grid_size & (grid_size - 1):
         raise ValueError("grid_size must be a power of two")
     phases = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    occupied = np.flatnonzero(state.amplitudes)
+    d = state.amplitudes[occupied]
     # n_c = N - m_d >= M  <=>  amplitude index m_d <= N - M.
-    keep = n_tot - bin_threshold
-
-    def prob(phi: float) -> float:
-        rotated = rotate_modes(state, phi)
-        return float(rotated.probabilities()[: keep + 1].sum())
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            probs = np.fromiter(pool.map(prob, phases), dtype=float, count=grid_size)
-    else:
-        probs = np.fromiter(map(prob, phases), dtype=float, count=grid_size)
-    spectrum = _dft_magnitudes(probs)
-    spectrum[~_reachable_bins(state.amplitudes, grid_size)] = 0.0
-    return FringeScan(phases, bin_threshold, probs, spectrum)
+    rotation = sector_unitary(n_tot, beam_splitter_matrix(0.0))
+    kept = rotation[: n_tot - bin_threshold + 1, occupied]
+    terms = (np.conj(d)[:, None] * d[None, :] * (kept.conj().T @ kept)).ravel()
+    bins = (occupied[None, :] - occupied[:, None]).ravel() % grid_size
+    coeffs = np.bincount(bins, terms.real, grid_size) + 1j * np.bincount(
+        bins, terms.imag, grid_size
+    )
+    probs = grid_size * np.fft.ifft(coeffs).real
+    return FringeScan(phases, bin_threshold, probs, np.abs(coeffs[: grid_size // 2 + 1]))
 
 
 def cross_moment_scan(state: FixedNState, order: int, grid_size: int = 256) -> np.ndarray:
-    """<c^dag^n c^n>(phi) over the uniform phase grid."""
-    values = np.empty(grid_size)
-    for i in range(grid_size):
-        rotated = rotate_modes(state, 2.0 * np.pi * i / grid_size)
-        values[i] = moment(rotated, (order, 0, order, 0)).real
-    return values
+    """<c^dag^n c^n>(phi) over the uniform phase grid.
+
+    One rotation at phi = 0; the phase grid enters as e^{i phi m} on the
+    amplitudes, and n_c!/(n_c - n)! weights the rotated probabilities.
+    """
+    n_tot = state.total_number
+    phases = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    shifted = state.amplitudes[:, None] * np.exp(1j * np.outer(np.arange(n_tot + 1), phases))
+    keep = max(n_tot + 1 - order, 0)  # rows m_d <= N - n, where n_c >= n
+    rotated = sector_unitary(n_tot, beam_splitter_matrix(0.0))[:keep] @ shifted
+    n_c = n_tot - np.arange(keep)
+    return np.exp(log_factorial(n_c) - log_factorial(n_c - order)) @ np.abs(rotated) ** 2
 
 
 def moment_from_fringes(values: np.ndarray, order: int) -> complex:

@@ -110,6 +110,18 @@ def test_outputs_identical_across_runs_and_threads(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_fringes_binomial_n40_succeeds(tmp_path):
+    result = run_cli(
+        [
+            "fringes", "--state", '{"kind": "binomial_splitter", "n": 40}',
+            "--m", "20", "--output", "fr",
+        ],
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "fr_spectrum.csv").exists()
+
+
 def test_stdout_output_when_no_path(tmp_path):
     result = run_cli(["splitter", "--n", "3"], tmp_path)
     assert result.returncode == 0

@@ -38,14 +38,42 @@ def test_rotate_single_photon():
 
 def test_rotation_preserves_norm_and_inverts():
     rng = np.random.default_rng(61)
-    for _ in range(10):
-        n_tot = int(rng.integers(1, 9))
+    sizes = [int(rng.integers(1, 9)) for _ in range(10)] + [100, 500]
+    for n_tot in sizes:
         state = random_fixed_state(n_tot, rng)
         phi = float(rng.uniform(0, 2 * np.pi))
         rotated = rotate_modes(state, phi)
         assert close(np.sum(rotated.probabilities()), 1.0)
         back = mode_transform(rotated, beam_splitter_matrix(phi).conj().T)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
+
+
+@pytest.mark.parametrize("n_tot", [40, 100, 500])
+def test_rotated_number_state_is_binomial_splitter(n_tot):
+    splitter = make_binomial_splitter(n_tot).amplitudes
+    # all quanta in a: every output amplitude positive
+    out = rotate_modes(make_number_pair(n_tot, n_tot), 0.0).amplitudes
+    assert np.max(np.abs(out - splitter)) < 1e-12
+    # all quanta in b: b^dag = (c^dag - d^dag)/sqrt(2) alternates the signs
+    out = rotate_modes(make_number_pair(0, n_tot), 0.0).amplitudes
+    signs = (-1.0) ** np.arange(n_tot + 1)
+    assert np.max(np.abs(out - signs * splitter)) < 1e-12
+
+
+def test_mode_transform_degenerate_generators():
+    # U = I, -I and diag(1, e^{i phi}) have degenerate or diagonal matrix logs.
+    rng = np.random.default_rng(69)
+    state = random_fixed_state(7, rng)
+    d, m = state.amplitudes, np.arange(8)
+    cases = [
+        (np.eye(2), d),
+        (-np.eye(2), (-1.0) ** 7 * d),
+        (np.diag([1.0, np.exp(0.7j)]), np.exp(0.7j * m) * d),
+        (np.diag([1.0, -1.0]), (-1.0) ** m * d),
+    ]
+    for u, expected in cases:
+        out = mode_transform(state, u).amplitudes
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_mode_transform_rejects_nonunitary():
@@ -113,6 +141,24 @@ def test_unreachable_bins_are_exact_zeros():
     assert aliased.dominant_frequency() == 24
     assert np.all(np.delete(aliased.spectrum, [0, 24]) == 0.0)
     assert aliased.spectrum[24] > 1e-3
+    # NOON N = 500 on K = 256: 500 folds to 500 - 256 = 244, then to 256 - 244 = 12.
+    big = binned_probability_scan(make_noon(500, 0.4), 250, 256)
+    assert np.all(np.isfinite(big.probabilities))
+    assert np.all((big.probabilities >= 0.0) & (big.probabilities <= 1.0))
+    assert big.dominant_frequency() == 12
+    assert np.all(np.delete(big.spectrum, [0, 12]) == 0.0)
+    # binomial N = 40 holds every frequency up to 40 and nothing above it.
+    binomial = binned_probability_scan(make_binomial_splitter(40), 20, 256)
+    assert np.all(binomial.spectrum[41:] == 0.0)
+    assert close(np.mean(binomial.probabilities), binomial.spectrum[0])
+
+
+def test_scan_matches_per_phase_rotation():
+    # Reference: rotate the state at every grid phase and sum the kept rows.
+    state = random_fixed_state(9, np.random.default_rng(70))
+    scan = binned_probability_scan(state, 4, 32)
+    direct = [rotate_modes(state, phi).probabilities()[:6].sum() for phi in scan.phases]
+    assert np.max(np.abs(scan.probabilities - direct)) < 1e-12
 
 
 def test_spectrum_zero_bin_is_mean():
@@ -125,13 +171,6 @@ def test_binned_scan_validation():
         binned_probability_scan(make_noon(3), 4)
     with pytest.raises(ValueError):
         binned_probability_scan(make_noon(3), 2, 100)  # not a power of two
-
-
-def test_scan_workers_do_not_change_results():
-    state = make_embedded_cat(2, 9)
-    serial = binned_probability_scan(state, 6, 64, workers=1)
-    threaded = binned_probability_scan(state, 6, 64, workers=4)
-    assert np.array_equal(serial.probabilities, threaded.probabilities)
 
 
 def test_moment_from_fringes_round_trip():
