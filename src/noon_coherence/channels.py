@@ -73,29 +73,40 @@ def kraus_operators(eta: float, dim: int) -> list[np.ndarray]:
     return ops
 
 
-def _damp_mode(tensor: np.ndarray, eta: float, ket_axis: int, bra_axis: int) -> np.ndarray:
-    """Apply the single-mode channel along one (ket, bra) axis pair in place."""
-    dim = tensor.shape[ket_axis]
-    work = np.moveaxis(tensor, (ket_axis, bra_axis), (0, 1))
-    out = np.zeros_like(work)
-    for k in range(dim):
-        w = kraus_weights(eta, dim, k)
-        keep = dim - k
-        out[:keep, :keep] += (
-            w[:, None, None, None] * w.conj()[None, :, None, None] * work[k:, k:]
-        )
-    return np.moveaxis(out, (0, 1), (ket_axis, bra_axis))
+def _damp_mode(
+    rho: TwoModeDensityMatrix, blocks: list[np.ndarray], eta: float, mode_b: bool
+) -> list[np.ndarray]:
+    """Apply the single-mode channel to mode a (or b) of sector blocks laid
+    out as rho's.  Losing k quanta moves the rows and columns that hold at
+    least k quanta in that mode, weighted by the Kraus diagonals, from sector
+    N to sector N - k; losses from b also shift the b count, i.e. the block
+    index, down by k."""
+    dim = rho.cutoff + 1
+    weights = [kraus_weights(eta, dim, k) for k in range(dim)]
+    out = [np.zeros_like(block) for block in blocks]
+    for total, block in enumerate(blocks):
+        if not block.any():
+            continue
+        m = rho.block_start(total) + np.arange(len(block))
+        quanta = m if mode_b else total - m
+        for k in range(int(quanta.max()) + 1):
+            rows = np.flatnonzero(quanta >= k)  # one contiguous run
+            lo, hi = rows[0], rows[-1] + 1
+            w = weights[k][quanta[lo:hi] - k]
+            at = m[lo] - (k if mode_b else 0) - rho.block_start(total - k)
+            out[total - k][at : at + hi - lo, at : at + hi - lo] += (
+                w[:, None] * w[None, :] * block[lo:hi, lo:hi]
+            )
+    return out
 
 
 def apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> TwoModeDensityMatrix:
     """Trace-preserving binomial-damping channel on both modes."""
-    dim = rho.cutoff + 1
-    tensor = rho.entries.reshape(dim, dim, dim, dim)  # [n_a, n_b, m_a, m_b]
-    tensor = _damp_mode(tensor, loss.eta_a, 0, 2)
-    tensor = _damp_mode(tensor, loss.eta_b, 1, 3)
-    flat = tensor.reshape(dim * dim, dim * dim)
-    flat = (flat + flat.conj().T) / 2.0  # remove rounding-level asymmetry
-    return TwoModeDensityMatrix(rho.cutoff, flat)
+    blocks = _damp_mode(rho, list(rho.blocks), loss.eta_a, mode_b=False)
+    blocks = _damp_mode(rho, blocks, loss.eta_b, mode_b=True)
+    # remove rounding-level asymmetry
+    blocks = [(block + block.conj().T) / 2.0 for block in blocks]
+    return TwoModeDensityMatrix._from_blocks(rho.cutoff, blocks)
 
 
 def detected_moment(state: State, mono, loss: LossSetting) -> complex:
@@ -144,10 +155,9 @@ def lossy_number_distribution(
         joint[n_tot - m, m] = p
     joint = _damping_transfer(loss.eta_a, dim) @ joint
     joint = joint @ _damping_transfer(loss.eta_b, dim).T
-    na, nb = np.indices(joint.shape)
     dist: dict[int, float] = {}
     for diff in range(-n_tot, n_tot + 1):
-        p = float(joint[na - nb == diff].sum())
+        p = float(np.diagonal(joint, -diff).sum())  # the n_a - n_b = diff line
         if p > floor:
             dist[diff] = p
     return dict(sorted(dist.items()))

@@ -11,8 +11,8 @@ Subcommands expose the library pipelines as plot-ready CSV/JSON emitters:
   infer      squeezing parameter, coherence bound and the two-atom inference
              chain over ingested data rows
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  Output is
-written atomically.
+Exit codes: 0 success, 2 validation error (including a request too large for
+memory), 3 numerical failure.  Output is written atomically.
 """
 
 from __future__ import annotations
@@ -435,6 +435,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # the requested size does not fit in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (TruncationError, NoOscillationError, AliasingError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -146,20 +146,12 @@ def coherence_spectrum(
                     CoherenceElement(order, n_left, m, n_left - m, float(mag))
                 )
         return elements
-    cut = state.cutoff
-    for n_left in range(0, cut - order + 1):
-        for m_right in range(0, cut - order + 1):
-            val = state.entries[
-                state.index(n_left, m_right + order),
-                state.index(n_left + order, m_right),
-            ]
-            mag = 2.0 * abs(val)
-            if mag > element_tol:
-                elements.append(
-                    CoherenceElement(
-                        order, n_left, m_right, n_left - m_right, float(mag)
-                    )
-                )
+    n_left, m_right, values = state.coherences(order)
+    mags = 2.0 * np.abs(values)
+    keep = np.flatnonzero(mags > element_tol)
+    for i in keep[np.lexsort((m_right[keep], n_left[keep]))]:
+        n_l, m_r = int(n_left[i]), int(m_right[i])
+        elements.append(CoherenceElement(order, n_l, m_r, n_l - m_r, float(mags[i])))
     return elements
 
 
@@ -174,10 +166,11 @@ def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
         pair = 2.0 * np.outer(mags, mags)
         i, j = np.nonzero(pair > element_tol)
         return int(np.max(j - i)) if i.size else 0
-    for order in range(state.cutoff, 0, -1):
-        if coherence_spectrum(state, order, element_tol):
-            return order
-    return 0
+    widest = 0
+    for block in state.blocks:
+        rows, cols = np.nonzero(2.0 * np.abs(block) > element_tol)
+        widest = max(widest, int(np.max(rows - cols, initial=0)))
+    return widest
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +187,6 @@ def log_b_factors(total_number: int, order: int) -> np.ndarray:
         + log_factorial(total_number - m)
         - log_factorial(total_number - m - order)
     )
-
-
-def b_factors(total_number: int, order: int) -> np.ndarray:
-    """The per-m moment weights B_m; overflows to inf for very large N."""
-    return np.exp(log_b_factors(total_number, order))
 
 
 @dataclass(frozen=True)
@@ -243,29 +231,26 @@ def s_factor(state: State, order: int, support_eps: float = SUPPORT_EPS) -> SFac
             log_value=float(logs[m_best]),
             pair=(n_tot - order - m_best, m_best),
         )
-    cut = state.cutoff
     probs = state.diagonal_probabilities()
-    best_log, best_pair = -np.inf, None
-    for n_left in range(0, cut - order + 1):
-        for m_right in range(0, cut - order + 1):
-            if (
-                probs[n_left, m_right + order] > support_eps
-                and probs[n_left + order, m_right] > support_eps
-            ):
-                log_w = 0.5 * (
-                    log_factorial(m_right + order)
-                    - log_factorial(m_right)
-                    + log_factorial(n_left + order)
-                    - log_factorial(n_left)
-                )
-                if log_w > best_log:
-                    best_log, best_pair = float(log_w), (n_left, m_right)
-    if best_pair is None:
+    span = max(state.cutoff - order + 1, 0)
+    # supported[n', m']: P(n', m'+n) and P(n'+n, m') both above support_eps
+    supported = (probs[:span, order:] > support_eps) & (probs[order:, :span] > support_eps)
+    if not np.any(supported):
         raise ValueError(
             f"no supported mode-number pair at order {order} "
             f"(support_eps={support_eps:g})"
         )
-    return SFactor(value=float(np.exp(best_log)), log_value=best_log, pair=best_pair)
+    n_left, m_right = np.indices(supported.shape)
+    log_w = 0.5 * (
+        log_factorial(m_right + order)
+        - log_factorial(m_right)
+        + log_factorial(n_left + order)
+        - log_factorial(n_left)
+    )
+    best = np.unravel_index(np.argmax(np.where(supported, log_w, -np.inf)), log_w.shape)
+    best_log = float(log_w[best])
+    pair = (int(best[0]), int(best[1]))
+    return SFactor(value=float(np.exp(best_log)), log_value=best_log, pair=pair)
 
 
 # ---------------------------------------------------------------------------

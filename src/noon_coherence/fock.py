@@ -2,9 +2,13 @@
 
 A pure state with fixed total particle number N lives on the (N+1)-dimensional
 sector spanned by |N-m>_a |m>_b; the amplitude vector stores d_0..d_N with d_m
-multiplying |N-m>_a |m>_b.  General mixed states use a dense density matrix
-truncated at a per-mode occupation cutoff, indexed by flattened pairs
-(n_a, n_b) -> n_a * (cutoff + 1) + n_b.
+multiplying |N-m>_a |m>_b.  Mixed states are truncated at a per-mode
+occupation cutoff and, since every state and channel here conserves or only
+lowers the total number, stored as one block per total-number sector in that
+same basis: sector N keeps its in-grid part n_a, n_b <= cutoff, so memory
+grows as cutoff^3 and each operation works block by block.  The dense matrix
+over flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an
+input and output format.
 
 All factorial ratios go through log-gamma accumulation, which keeps
 ladder-operator moments representable in float64 up to N of several hundred
@@ -14,6 +18,7 @@ without big-integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,53 +88,153 @@ class FixedNState:
         return float(abs(self.amplitudes[n_b]) ** 2)
 
 
-@dataclass(frozen=True)
+def _block_start(cutoff: int, total: int) -> int:
+    return max(total - cutoff, 0)
+
+
+def _block_size(cutoff: int, total: int) -> int:
+    return min(total, cutoff) - _block_start(cutoff, total) + 1
+
+
+def _dense_rows(cutoff: int, total: int) -> np.ndarray:
+    """Rows of sector ``total``'s block in the dense flattened pair basis."""
+    m = _block_start(cutoff, total) + np.arange(_block_size(cutoff, total))
+    return (total - m) * (cutoff + 1) + m
+
+
+@lru_cache(maxsize=16)
+def _sector_layout(cutoff: int) -> tuple[np.ndarray, ...]:
+    """The grid states (n_a, n_b <= cutoff) in sector order, N = n_a + n_b
+    ascending and n_b ascending within a sector, as read-only arrays: n_a,
+    n_b, local index inside the sector block, block size, and the position
+    of the state's diagonal element in the concatenated row-major blocks."""
+    columns = []
+    offset = 0
+    for total in range(2 * cutoff + 1):
+        size = _block_size(cutoff, total)
+        local = np.arange(size)
+        n_b = _block_start(cutoff, total) + local
+        columns.append((total - n_b, n_b, local, np.full(size, size), offset + local * (size + 1)))
+        offset += size * size
+    layout = tuple(np.concatenate(column) for column in zip(*columns))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
 class TwoModeDensityMatrix:
     """Hermitian, unit-trace density matrix truncated at ``cutoff`` per mode.
 
-    entries is a dense ((cutoff+1)^2, (cutoff+1)^2) complex matrix over the
-    flattened pair basis.  Construction enforces Hermiticity, unit trace,
-    nonnegative diagonal and the necessary positivity condition
-    |rho_ij|^2 <= rho_ii * rho_jj.
+    Stored as one block per total-number sector N = 0..2*cutoff:
+    blocks[N][i, j] = <N-m, m| rho |N-m', m'> with m = block_start(N) + i and
+    m' = block_start(N) + j, the |N-m>_a |m>_b basis of FixedNState restricted
+    to its in-grid part n_a, n_b <= cutoff.  Coherence between sectors is not
+    representable.
+
+    The constructor takes the dense ((cutoff+1)^2, (cutoff+1)^2) matrix over
+    the flattened pair basis n_a * (cutoff + 1) + n_b and rejects elements
+    between different sectors above 1e-12.  Construction enforces
+    Hermiticity, unit trace, nonnegative diagonal and the necessary
+    positivity condition |rho_ij|^2 <= rho_ii * rho_jj.
     """
 
-    cutoff: int
-    entries: np.ndarray
+    __slots__ = ("cutoff", "blocks", "_flat", "_populations")
 
-    def __post_init__(self):
-        if self.cutoff < 0:
+    def __init__(self, cutoff: int, entries):
+        if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        dim = (self.cutoff + 1) ** 2
-        ent = np.asarray(self.entries, dtype=complex).copy()
+        dim = (cutoff + 1) ** 2
+        ent = np.asarray(entries, dtype=complex)
         if ent.shape != (dim, dim):
             raise ValueError(f"expected entries of shape {(dim, dim)}, got {ent.shape}")
-        if np.max(np.abs(ent - ent.conj().T)) > 1e-12:
+        n_a, n_b = np.divmod(np.arange(dim), cutoff + 1)
+        rows, cols = np.nonzero(np.abs(ent) > 1e-12)
+        if np.any(n_a[rows] + n_b[rows] != n_a[cols] + n_b[cols]):
+            raise ValueError(
+                "density matrix has coherence between total-number sectors "
+                "above 1e-12; only number-conserving states are supported"
+            )
+        sectors = [_dense_rows(cutoff, total) for total in range(2 * cutoff + 1)]
+        self._store(cutoff, [ent[np.ix_(rows, rows)] for rows in sectors])
+
+    @classmethod
+    def _from_blocks(cls, cutoff: int, blocks) -> "TwoModeDensityMatrix":
+        """Build from sector blocks laid out as in ``blocks``, validated alike."""
+        rho = cls.__new__(cls)
+        rho._store(cutoff, blocks)
+        return rho
+
+    def _store(self, cutoff: int, blocks) -> None:
+        sizes = [_block_size(cutoff, total) for total in range(2 * cutoff + 1)]
+        if [np.shape(b) for b in blocks] != [(n, n) for n in sizes]:
+            raise ValueError(f"sector blocks do not match cutoff {cutoff}")
+        flat = np.concatenate([np.asarray(b, dtype=complex).ravel() for b in blocks])
+        parts = np.split(flat, np.cumsum(np.square(sizes))[:-1])
+        views = [part.reshape(n, n) for part, n in zip(parts, sizes)]
+        if max(np.max(np.abs(b - b.conj().T)) for b in views) > 1e-12:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        diag = ent.diagonal()
+        n_a, n_b, _, _, diag_pos = _sector_layout(cutoff)
+        diag = flat[diag_pos]
         if np.max(np.abs(diag.imag)) > 1e-12 or np.min(diag.real) < -1e-12:
             raise ValueError("diagonal must be real and nonnegative")
         trace = float(diag.real.sum())
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"trace must be 1 within 1e-10, got {trace!r}")
-        pop = np.maximum(diag.real, 0.0)
-        if np.any(np.abs(ent) ** 2 > np.outer(pop, pop) + EQ_TOL):
-            raise ValueError("off-diagonal element exceeds the positivity bound")
+        for b in views:
+            pop = np.maximum(b.diagonal().real, 0.0)
+            if np.any(np.abs(b) ** 2 > np.outer(pop, pop) + EQ_TOL):
+                raise ValueError("off-diagonal element exceeds the positivity bound")
+        populations = np.zeros((cutoff + 1, cutoff + 1))
+        populations[n_a, n_b] = np.maximum(diag.real, 0.0)
+        for arr in (flat, populations):
+            arr.setflags(write=False)
+        self.cutoff = cutoff
+        self.blocks = tuple(views)
+        self._flat = flat
+        self._populations = populations
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense ((cutoff+1)^2, (cutoff+1)^2) matrix over the flattened pair
+        basis, built on each access (cutoff^4 memory; no library path uses it)."""
+        dim = (self.cutoff + 1) ** 2
+        ent = np.zeros((dim, dim), dtype=complex)
+        for total, block in enumerate(self.blocks):
+            rows = _dense_rows(self.cutoff, total)
+            ent[np.ix_(rows, rows)] = block
         ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
+        return ent
+
+    def block_start(self, total: int) -> int:
+        """Smallest n_b of sector ``total`` inside the grid: row 0 of its block."""
+        return _block_start(self.cutoff, total)
 
     def index(self, n_a: int, n_b: int) -> int:
+        """Row of |n_a, n_b> in the dense ``entries`` matrix."""
         if not (0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff):
             raise IndexError(f"occupation ({n_a}, {n_b}) outside cutoff {self.cutoff}")
         return n_a * (self.cutoff + 1) + n_b
 
     def element(self, bra: tuple[int, int], ket: tuple[int, int]) -> complex:
         """<bra_a, bra_b| rho |ket_a, ket_b>."""
-        return complex(self.entries[self.index(*bra), self.index(*ket)])
+        for n_a, n_b in (bra, ket):
+            self.index(n_a, n_b)  # range check
+        total = sum(bra)
+        if sum(ket) != total:
+            return 0j
+        start = self.block_start(total)
+        return complex(self.blocks[total][bra[1] - start, ket[1] - start])
 
     def diagonal_probabilities(self) -> np.ndarray:
-        """Occupation probabilities as a (cutoff+1, cutoff+1) array [n_a, n_b]."""
-        dim = self.cutoff + 1
-        return np.maximum(self.entries.diagonal().real.reshape(dim, dim), 0.0)
+        """Occupation probabilities as a read-only (cutoff+1, cutoff+1) array [n_a, n_b]."""
+        return self._populations
+
+    def coherences(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored element <n', m'+order| rho |n'+order, m'> as arrays
+        n', m' and values; they sit on the order-th subdiagonal of each block."""
+        n_a, n_b, local, _, diag_pos = _sector_layout(self.cutoff)
+        bra = local >= order
+        return n_a[bra], n_b[bra] - order, self._flat[diag_pos[bra] - order]
 
     def max_supported_total(self, eps: float = TRUNCATION_EPS) -> int:
         """Largest n_a + n_b carrying probability above ``eps``."""
@@ -243,39 +348,41 @@ def _density_moment(
     state: TwoModeDensityMatrix, mono: OperatorMonomial, trunc_eps: float
 ) -> complex:
     cut = state.cutoff
-    dim = cut + 1
-    na, nb = [g.ravel() for g in np.indices((dim, dim))]
+    probs = state.diagonal_probabilities()
+    na, nb = np.indices(probs.shape)
     acts = (na >= mono.r) & (nb >= mono.s)
-    ta = na - mono.r + mono.p
-    tb = nb - mono.s + mono.q
-    inside = (ta <= cut) & (tb <= cut)
-    probs = state.diagonal_probabilities().ravel()
-    lost = acts & ~inside & (probs > trunc_eps)
-    if np.any(lost):
-        i = int(np.flatnonzero(lost)[0])
+    inside = (na - mono.r + mono.p <= cut) & (nb - mono.s + mono.q <= cut)
+    lost = np.argwhere(acts & ~inside & (probs > trunc_eps))
+    if lost.size:
         raise TruncationError(
-            f"moment {mono} maps occupied state ({na[i]}, {nb[i]}) beyond "
+            f"moment {mono} maps occupied state ({lost[0][0]}, {lost[0][1]}) beyond "
             f"cutoff {cut}; enlarge the cutoff"
         )
-    use = acts & inside
+    if mono.p + mono.q != mono.r + mono.s:
+        return 0j  # the monomial leaves the sector: no block element connects
+    # Within a sector the monomial moves n_b by q - s, i.e. the block column
+    # of a row by the same amount.
+    shift = mono.q - mono.s
+    na, nb, local, size, diag_pos = _sector_layout(cut)
+    use = (na >= mono.r) & (nb >= mono.s) & (local + shift >= 0) & (local + shift < size)
     if not np.any(use):
         return 0j
-    src = np.flatnonzero(use)
-    dst = ta[use] * dim + tb[use]
+    na, nb = na[use], nb[use]
+    ta, tb = na - mono.r + mono.p, nb + shift
     factor = np.exp(
         0.5
         * (
-            log_factorial(na[use])
-            - log_factorial(na[use] - mono.r)
-            + log_factorial(ta[use])
-            - log_factorial(na[use] - mono.r)
-            + log_factorial(nb[use])
-            - log_factorial(nb[use] - mono.s)
-            + log_factorial(tb[use])
-            - log_factorial(nb[use] - mono.s)
+            log_factorial(na)
+            - log_factorial(na - mono.r)
+            + log_factorial(ta)
+            - log_factorial(na - mono.r)
+            + log_factorial(nb)
+            - log_factorial(nb - mono.s)
+            + log_factorial(tb)
+            - log_factorial(nb - mono.s)
         )
     )
-    return complex(np.sum(state.entries[src, dst] * factor))
+    return complex(np.sum(state._flat[diag_pos[use] + shift] * factor))
 
 
 def moment(state: State, mono, trunc_eps: float = TRUNCATION_EPS) -> complex:
@@ -310,7 +417,8 @@ def ladder_coefficients(n_tot: int) -> np.ndarray:
 
 
 def _sector_jx(d: np.ndarray, n_tot: int) -> np.ndarray:
-    up = ladder_coefficients(n_tot)
+    """J_X applied along axis 0 (a sector vector, or a block's columns)."""
+    up = ladder_coefficients(n_tot).reshape((-1,) + (1,) * (d.ndim - 1))
     out = np.zeros_like(d)
     out[:-1] += 0.5 * up * d[1:]
     out[1:] += 0.5 * up * d[:-1]
@@ -318,7 +426,8 @@ def _sector_jx(d: np.ndarray, n_tot: int) -> np.ndarray:
 
 
 def _sector_jy(d: np.ndarray, n_tot: int) -> np.ndarray:
-    up = ladder_coefficients(n_tot)
+    """J_Y applied along axis 0 (a sector vector, or a block's columns)."""
+    up = ladder_coefficients(n_tot).reshape((-1,) + (1,) * (d.ndim - 1))
     out = np.zeros_like(d)
     out[:-1] += up * d[1:] / 2j
     out[1:] -= up * d[:-1] / 2j
@@ -329,29 +438,21 @@ def _sector_jz_values(n_tot: int) -> np.ndarray:
     return (n_tot - 2.0 * np.arange(n_tot + 1)) / 2.0
 
 
+def _sector_j_theta_power(d: np.ndarray, n_tot: int, theta: float, power: int) -> np.ndarray:
+    """(J_X cos(theta) + J_Y sin(theta))^power applied along axis 0."""
+    c, s = np.cos(theta), np.sin(theta)
+    vec = d
+    for _ in range(power):
+        vec = c * _sector_jx(vec, n_tot) + s * _sector_jy(vec, n_tot)
+    return vec
+
+
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Single-mode annihilation operator truncated to ``dim`` levels."""
     a = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
     a[n - 1, n] = np.sqrt(n)
     return a
-
-
-def two_mode_spin_matrices(cutoff: int) -> dict[str, np.ndarray]:
-    """Dense J_X, J_Y, J_Z and Ntot on the truncated two-mode space."""
-    dim = cutoff + 1
-    a = annihilation_matrix(dim)
-    eye = np.eye(dim, dtype=complex)
-    A = np.kron(a, eye)
-    B = np.kron(eye, a)
-    jx = (A.conj().T @ B + A @ B.conj().T) / 2.0
-    jy = (A.conj().T @ B - A @ B.conj().T) / 2j
-    jz = (A.conj().T @ A - B.conj().T @ B) / 2.0
-    ntot = A.conj().T @ A + B.conj().T @ B
-    return {"jx": jx, "jy": jy, "jz": jz, "ntot": ntot}
-
-
-_DENSE_SPIN_CUTOFF = 32
 
 
 def schwinger_moments(
@@ -396,20 +497,12 @@ def _pure_schwinger(state: FixedNState, angles: Sequence[float]) -> SchwingerMom
 
 
 def _pure_third(d: np.ndarray, n_tot: int, theta: float, power: int) -> float:
-    c, s = np.cos(theta), np.sin(theta)
-    vec = d
-    for _ in range(power):
-        vec = c * _sector_jx(vec, n_tot) + s * _sector_jy(vec, n_tot)
-    return float(np.vdot(d, vec).real)
+    return float(np.vdot(d, _sector_j_theta_power(d, n_tot, theta, power)).real)
 
 
 def _density_schwinger(
     state: TwoModeDensityMatrix, angles: Sequence[float]
 ) -> SchwingerMoments:
-    if state.cutoff > _DENSE_SPIN_CUTOFF:
-        raise ValueError(
-            f"dense Schwinger moments are limited to cutoff <= {_DENSE_SPIN_CUTOFF}"
-        )
     # Spin operators conserve total number; sectors with n_a + n_b > cutoff
     # are only partially stored, so moments there would be silently wrong.
     if state.max_supported_total() > state.cutoff:
@@ -417,33 +510,38 @@ def _density_schwinger(
             "state occupies total-number sectors beyond the per-mode cutoff; "
             "enlarge the cutoff before taking spin moments"
         )
-    ops = two_mode_spin_matrices(state.cutoff)
-    rho = state.entries
-
-    def expect(mat: np.ndarray) -> float:
-        return float(np.trace(rho @ mat).real)
-
-    jx, jy = ops["jx"], ops["jy"]
-    jtheta2, jtheta3, gtheta3 = {}, {}, {}
-    for theta in angles:
-        jt = np.cos(theta) * jx + np.sin(theta) * jy
-        gt = -np.sin(theta) * jx + np.cos(theta) * jy
-        jtheta2[theta] = expect(jt @ jt)
-        jtheta3[theta] = expect(jt @ jt @ jt)
-        gtheta3[theta] = expect(gt @ gt @ gt)
+    names = ("jx", "jy", "jz", "ntot", "jx2", "jy2", "jz2", "jxy_anti")
+    sums = dict.fromkeys(names, 0.0)
+    jtheta2, jtheta3, gtheta3 = (dict.fromkeys(angles, 0.0) for _ in range(3))
+    # <O> = sum over sectors of Tr(O_N rho_N), O_N tridiagonal (or diagonal);
+    # the partial sectors above the cutoff hold no probability above
+    # TRUNCATION_EPS (checked above) and are left out.
+    for n_tot, rho in enumerate(state.blocks[: state.cutoff + 1]):
+        jx_r, jy_r = _sector_jx(rho, n_tot), _sector_jy(rho, n_tot)
+        jz = _sector_jz_values(n_tot)
+        probs = rho.diagonal().real
+        sums["jx"] += np.trace(jx_r).real
+        sums["jy"] += np.trace(jy_r).real
+        sums["jz"] += np.sum(jz * probs)
+        sums["ntot"] += n_tot * np.sum(probs)
+        sums["jx2"] += np.trace(_sector_jx(jx_r, n_tot)).real
+        sums["jy2"] += np.trace(_sector_jy(jy_r, n_tot)).real
+        sums["jz2"] += np.sum(jz**2 * probs)
+        sums["jxy_anti"] += np.trace(_sector_jx(jy_r, n_tot) + _sector_jy(jx_r, n_tot)).real
+        for theta in jtheta2:  # each distinct angle once
+            jtheta2[theta] += _density_third(rho, n_tot, theta, power=2)
+            jtheta3[theta] += _density_third(rho, n_tot, theta, power=3)
+            gtheta3[theta] += _density_third(rho, n_tot, theta + np.pi / 2, power=3)
     return SchwingerMoments(
-        jx=expect(jx),
-        jy=expect(jy),
-        jz=expect(ops["jz"]),
-        ntot=expect(ops["ntot"]),
-        jx2=expect(jx @ jx),
-        jy2=expect(jy @ jy),
-        jz2=expect(ops["jz"] @ ops["jz"]),
-        jxy_anti=expect(jx @ jy + jy @ jx),
+        **{name: float(value) for name, value in sums.items()},
         jtheta2=jtheta2,
         jtheta3=jtheta3,
         gtheta3=gtheta3,
     )
+
+
+def _density_third(rho: np.ndarray, n_tot: int, theta: float, power: int) -> float:
+    return float(np.trace(_sector_j_theta_power(rho, n_tot, theta, power)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +557,27 @@ def number_distribution(state: State, floor: float = 1e-15) -> dict[int, float]:
         dist = {int(n_tot - 2 * m): float(p) for m, p in enumerate(probs) if p > floor}
     else:
         grid = state.diagonal_probabilities()
-        na, nb = np.indices(grid.shape)
         dist: dict[int, float] = {}
         for diff in range(-state.cutoff, state.cutoff + 1):
-            p = float(grid[na - nb == diff].sum())
+            p = float(np.diagonal(grid, -diff).sum())  # the n_a - n_b = diff line
             if p > floor:
                 dist[diff] = p
     return dict(sorted(dist.items()))
 
 
+def _zero_blocks(cutoff: int) -> list[np.ndarray]:
+    return [
+        np.zeros((_block_size(cutoff, total),) * 2, dtype=complex)
+        for total in range(2 * cutoff + 1)
+    ]
+
+
 def to_density_matrix(state: FixedNState) -> TwoModeDensityMatrix:
     """Rank-1 density matrix of a fixed-N pure state, cutoff = N."""
     n_tot = state.total_number
-    dim = n_tot + 1
-    vec = np.zeros(dim * dim, dtype=complex)
-    for m, amp in enumerate(state.amplitudes):
-        vec[(n_tot - m) * dim + m] = amp
-    return TwoModeDensityMatrix(n_tot, np.outer(vec, vec.conj()))
+    blocks = _zero_blocks(n_tot)
+    blocks[n_tot] = np.outer(state.amplitudes, state.amplitudes.conj())
+    return TwoModeDensityMatrix._from_blocks(n_tot, blocks)
 
 
 def pad_cutoff(rho: TwoModeDensityMatrix, cutoff: int) -> TwoModeDensityMatrix:
@@ -484,16 +586,18 @@ def pad_cutoff(rho: TwoModeDensityMatrix, cutoff: int) -> TwoModeDensityMatrix:
     Exact by construction: the stored matrix defines the state completely,
     so the added occupation levels carry no weight.  Useful headroom before
     taking moments whose raising operators would otherwise hit the boundary.
+    Sector blocks up to the old cutoff are unchanged; the partial sectors
+    above it gain zero rows and columns for their new in-grid states.
     """
     if cutoff < rho.cutoff:
         raise ValueError("pad_cutoff cannot shrink the grid")
     if cutoff == rho.cutoff:
         return rho
-    old, new = rho.cutoff + 1, cutoff + 1
-    ent = np.zeros((new * new, new * new), dtype=complex)
-    tensor = ent.reshape(new, new, new, new)
-    tensor[:old, :old, :old, :old] = rho.entries.reshape(old, old, old, old)
-    return TwoModeDensityMatrix(cutoff, ent)
+    blocks = _zero_blocks(cutoff)
+    for total, block in enumerate(rho.blocks):
+        at = rho.block_start(total) - _block_start(cutoff, total)
+        blocks[total][at : at + len(block), at : at + len(block)] = block
+    return TwoModeDensityMatrix._from_blocks(cutoff, blocks)
 
 
 # ---------------------------------------------------------------------------

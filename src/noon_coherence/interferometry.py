@@ -90,16 +90,12 @@ def mode_transform_density(
         raise TruncationError(
             "mode rotation needs all occupied total-number sectors inside the cutoff"
         )
-    dim = rho.cutoff + 1
-    out = np.array(rho.entries)
+    blocks = list(rho.blocks)
     for total in range(rho.cutoff + 1):
-        m = np.arange(total + 1)
-        flat = (total - m) * dim + m
-        block = sector_unitary(total, u)
-        out[flat, :] = block @ out[flat, :]
-        out[:, flat] = out[:, flat] @ block.conj().T
-    out = (out + out.conj().T) / 2.0
-    return TwoModeDensityMatrix(rho.cutoff, out)
+        rotation = sector_unitary(total, u)
+        block = rotation @ blocks[total] @ rotation.conj().T
+        blocks[total] = (block + block.conj().T) / 2.0
+    return TwoModeDensityMatrix._from_blocks(rho.cutoff, blocks)
 
 
 def rotate_modes(state: FixedNState, phi: float) -> FixedNState:

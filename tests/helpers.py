@@ -7,6 +7,7 @@ import numpy as np
 
 import noon_coherence
 from noon_coherence import FixedNState, TwoModeDensityMatrix
+from noon_coherence.fock import annihilation_matrix
 
 
 def random_fixed_state(total_number: int, rng: np.random.Generator) -> FixedNState:
@@ -35,6 +36,21 @@ def random_mixture(
         n = int(rng.integers(1, cutoff + 1))
         rho += w * embed_pure(random_fixed_state(n, rng), cutoff)
     return TwoModeDensityMatrix(cutoff, rho)
+
+
+def two_mode_spin_matrices(cutoff: int) -> dict[str, np.ndarray]:
+    """Dense J_X, J_Y, J_Z and Ntot on the truncated two-mode space: the
+    reference the sector-block spin moments are compared against."""
+    dim = cutoff + 1
+    a = annihilation_matrix(dim)
+    eye = np.eye(dim, dtype=complex)
+    A = np.kron(a, eye)
+    B = np.kron(eye, a)
+    jx = (A.conj().T @ B + A @ B.conj().T) / 2.0
+    jy = (A.conj().T @ B - A @ B.conj().T) / 2j
+    jz = (A.conj().T @ A - B.conj().T @ B) / 2.0
+    ntot = A.conj().T @ A + B.conj().T @ B
+    return {"jx": jx, "jy": jy, "jz": jz, "ntot": ntot}
 
 
 def close(a, b, tol=1e-10):

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from noon_coherence import (
     LossSetting,
+    TwoModeDensityMatrix,
     apply_loss,
+    catness_fidelity,
     cross_moment,
     detected_moment,
     moment,
+    schwinger_moments,
     to_density_matrix,
 )
 from noon_coherence.channels import kraus_operators, lossy_number_distribution
@@ -62,6 +67,41 @@ def test_channel_trace_and_hermiticity():
     out = apply_loss(rho, LossSetting(0.6, 0.4))
     assert close(np.trace(out.entries).real, 1.0)
     assert np.max(np.abs(out.entries - out.entries.conj().T)) < 1e-12
+
+
+def test_channel_matches_two_mode_kraus_sum():
+    rng = np.random.default_rng(26)
+    rho = random_mixture(6, rng)
+    loss = LossSetting(0.55, 0.85)
+    pairs = [
+        np.kron(ka, kb)
+        for ka in kraus_operators(loss.eta_a, 7)
+        for kb in kraus_operators(loss.eta_b, 7)
+    ]
+    dense = rho.entries
+    expected = sum(k @ dense @ k.conj().T for k in pairs)
+    assert np.max(np.abs(apply_loss(rho, loss).entries - expected)) < 1e-12
+
+
+def test_lossy_noon_at_cutoff_100_stays_in_sector_blocks(monkeypatch):
+    def dense(self):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(TwoModeDensityMatrix, "entries", property(dense))
+    n, phase = 100, 0.6
+    state = make_noon(n, phase)
+    loss = LossSetting(0.95, 0.9)
+    scale = (loss.eta_a * loss.eta_b) ** (n / 2)
+    lossy = apply_loss(to_density_matrix(state), loss)
+    entry = catness_fidelity(lossy, n)
+    assert abs(entry.bound - scale) <= 1e-10 * scale
+    assert abs(entry.fidelity - scale) <= 1e-10 * scale
+    want = scale * math.exp(math.lgamma(n + 1)) / 2 * np.exp(1j * phase)
+    value = detected_moment(state, (n, 0, 0, n), loss)
+    assert abs(value - want) <= 1e-10 * abs(want)
+    spins = schwinger_moments(lossy)
+    assert close(spins.ntot, n * (loss.eta_a + loss.eta_b) / 2)
+    assert close(spins.jz, n * (loss.eta_a - loss.eta_b) / 4)
 
 
 def test_channel_composition():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from noon_coherence import cli
+
 from helpers import cli_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -141,6 +143,15 @@ def test_validation_errors_exit_2(tmp_path):
     assert run_cli(["fringes", "--state", "not json", "--m", "1", "--output", "x"], tmp_path).returncode == 2
     assert run_cli(["fringes", "--state", '{"kind": "noon", "n": 4, "oops": 1}', "--m", "1", "--output", "x"], tmp_path).returncode == 2
     assert run_cli(["dynamics", "--n", "4", "--g", "1", "--nl", "0", "--times", "0,Q/3"], tmp_path).returncode == 2
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "cmd_splitter", exhausted)
+    assert cli.main(["splitter", "--n", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -18,11 +18,16 @@ from noon_coherence.fock import (
     density_to_json,
     state_from_json,
     state_to_json,
-    two_mode_spin_matrices,
 )
 from noon_coherence.states import make_binomial_splitter, make_noon, make_number_pair
 
-from helpers import close, embed_pure, random_fixed_state, random_mixture
+from helpers import (
+    close,
+    embed_pure,
+    random_fixed_state,
+    random_mixture,
+    two_mode_spin_matrices,
+)
 
 
 def test_fixed_n_state_validates_normalization():
@@ -44,6 +49,18 @@ def test_density_matrix_validation():
     bad = rho.entries * 0.9  # breaks the trace
     with pytest.raises(ValueError):
         TwoModeDensityMatrix(2, bad)
+
+
+def test_inter_sector_coherence_is_rejected():
+    # (|0,0> + |1,0>)/sqrt(2): a valid state, but it mixes sectors N = 0 and 1
+    vec = np.zeros(4, dtype=complex)
+    vec[[0, 2]] = 1 / np.sqrt(2)
+    ent = np.outer(vec, vec.conj())
+    with pytest.raises(ValueError, match="between total-number sectors"):
+        TwoModeDensityMatrix(1, ent)
+    data = {"cutoff": 1, "entries_re": ent.real.tolist(), "entries_im": ent.imag.tolist()}
+    with pytest.raises(ValueError, match="between total-number sectors"):
+        density_from_json(data)
 
 
 def test_monomial_validation():
@@ -181,6 +198,30 @@ def test_schwinger_density_matches_pure():
         assert close(getattr(mp, attr), getattr(md, attr))
     assert close(mp.jtheta3[0.7], md.jtheta3[0.7])
     assert close(mp.gtheta3[0.7], md.gtheta3[0.7])
+
+
+def test_schwinger_mixture_matches_dense_operators():
+    rng = np.random.default_rng(10)
+    rho = random_mixture(5, rng, components=4)
+    theta = 0.7
+    m = schwinger_moments(rho, angles=(theta,))
+    ops = two_mode_spin_matrices(5)
+    jx, jy = ops["jx"], ops["jy"]
+    jt = np.cos(theta) * jx + np.sin(theta) * jy
+    gt = -np.sin(theta) * jx + np.cos(theta) * jy
+    dense = rho.entries
+
+    def expect(mat):
+        return np.trace(dense @ mat).real
+
+    assert close(m.jx, expect(jx)) and close(m.jy, expect(jy))
+    assert close(m.jz, expect(ops["jz"])) and close(m.ntot, expect(ops["ntot"]))
+    assert close(m.jx2, expect(jx @ jx)) and close(m.jy2, expect(jy @ jy))
+    assert close(m.jz2, expect(ops["jz"] @ ops["jz"]))
+    assert close(m.jxy_anti, expect(jx @ jy + jy @ jx))
+    assert close(m.jtheta2[theta], expect(jt @ jt))
+    assert close(m.jtheta3[theta], expect(jt @ jt @ jt))
+    assert close(m.gtheta3[theta], expect(gt @ gt @ gt))
 
 
 def test_number_distribution_noon():
