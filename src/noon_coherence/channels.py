@@ -127,14 +127,10 @@ def detected_moment(state: State, mono, loss: LossSetting) -> complex:
 
 def _damping_transfer(eta: float, dim: int) -> np.ndarray:
     """Column-stochastic matrix T[i, j] = P(j quanta -> i survive)."""
-    i, j = np.indices((dim, dim))
-    with np.errstate(invalid="ignore"):
-        log_binom = log_factorial(j) - log_factorial(i) - log_factorial(j - i)
+    i, j = np.triu_indices(dim)
+    log_binom = log_factorial(j) - log_factorial(i) - log_factorial(j - i)
     t = np.zeros((dim, dim))
-    lower = i <= j
-    t[lower] = np.exp(
-        log_binom[lower] + _log_pow(eta, i[lower]) + _log_pow(1.0 - eta, (j - i)[lower])
-    )
+    t[i, j] = np.exp(log_binom + _log_pow(eta, i) + _log_pow(1.0 - eta, j - i))
     return t
 
 

@@ -10,32 +10,88 @@ grows as cutoff^3 and each operation works block by block.  The dense matrix
 over flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an
 input and output format.
 
-All factorial ratios go through log-gamma accumulation, which keeps
-ladder-operator moments representable in float64 up to N of several hundred
-without big-integer arithmetic.
+All factorial ratios go through a cached table of log(n!), correctly rounded
+to float64, which keeps ladder-operator moments representable in float64 up
+to N of several hundred without big-integer arithmetic.
 """
 
 from __future__ import annotations
 
+import decimal
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError
 from .tolerances import EQ_TOL, NORM_TOL, TRUNCATION_EPS
 
 
-def log_factorial(n) -> np.ndarray:
-    """log(n!) for nonnegative integers, vectorized."""
-    return gammaln(np.asarray(n, dtype=float) + 1.0)
+def _log_factorial_table(size: int) -> np.ndarray:
+    """log(0!) .. log((size-1)!), each correctly rounded to float64.
+
+    The logs of 1..size-1 are taken in extended precision and split into a
+    coarse part, a multiple of 2**-s with s chosen so that every partial sum
+    of the coarse parts is exact in float64, and the exact remainder, whose
+    partial sums are kept in extended precision.  Rounding the two sums once
+    gives each entry, unless the error bound of the extended logs (4 eps of
+    the sum) reaches a rounding midpoint; those few entries are recomputed
+    from a 40-digit decimal product.  Where ``np.longdouble`` is plain
+    float64, every entry takes the decimal route: slower, still exact.
+    """
+    logs = np.log(np.arange(1, size, dtype=np.longdouble))
+    scale = 2.0 ** (52 - math.frexp(float(logs.sum()))[1])
+    coarse = np.rint(logs * scale) / scale
+    coarse_sums = np.concatenate(([0.0], np.cumsum(coarse.astype(float))))
+    fine_sums = np.concatenate(([0.0], np.cumsum(logs - coarse).astype(float)))
+    table = coarse_sums + fine_sums
+    # the unrounded sum lies at table + residual; find the nearer midpoint
+    residual = (coarse_sums - table) + fine_sums
+    up = np.nextafter(table, np.inf) - table
+    down = table - np.nextafter(table, -np.inf)
+    margin = np.minimum(np.abs(residual - up / 2), np.abs(residual + down / 2))
+    doubtful = np.flatnonzero(margin <= 4 * np.finfo(np.longdouble).eps * table)
+    if doubtful.size:
+        ctx = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
+        product = decimal.Decimal(1)
+        redo = set(doubtful.tolist())
+        for k in range(1, int(doubtful[-1]) + 1):
+            product = ctx.multiply(product, k)
+            if k in redo:
+                table[k] = float(ctx.ln(product))
+    return table
 
 
-def sqrt_factorial_ratio(num, den) -> np.ndarray:
-    """sqrt(num! / den!) evaluated in log space."""
-    return np.exp(0.5 * (log_factorial(num) - log_factorial(den)))
+# [+inf, log(0!), log(1!), ...]; log_factorial grows it
+_log_factorials = np.array([np.inf, 0.0])
+
+
+def log_factorial(n):
+    """log(n!) for integers, vectorized, from a table that grows on demand.
+
+    Entries are correctly rounded; negative integers give +inf, as
+    log-gamma does.  A scalar gives a scalar and an array keeps its shape;
+    input that is not integral raises ValueError.
+    """
+    global _log_factorials
+    n = np.asarray(n)
+    if n.dtype.kind != "i":
+        integral = n.dtype.kind in "bu" or (
+            n.dtype.kind == "f" and np.all(np.isfinite(n) & (n == np.round(n)))
+        )
+        if not integral:
+            raise ValueError(f"log_factorial needs integers, got {n!r}")
+        n = n.astype(np.int64)
+    # slot 0 holds +inf for every negative n
+    index = max(int(n) + 1, 0) if n.ndim == 0 else np.maximum(n + 1, 0)
+    try:
+        return _log_factorials[index]
+    except IndexError:
+        size = max(1024, 2 * int(np.max(index)))
+        _log_factorials = np.concatenate(([np.inf], _log_factorial_table(size)))
+        return _log_factorials[index]
 
 
 # ---------------------------------------------------------------------------

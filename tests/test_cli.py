@@ -245,3 +245,22 @@ def test_output_overwrites_atomically(tmp_path):
     assert target.read_text().startswith("n,C_n")
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spl")]
     assert leftovers == []
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which any scipy import fails
+    script = (
+        "import runpy, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError('scipy is blocked: ' + name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "sys.argv = ['noon_coherence.cli', 'splitter', '--n', '5', '--output', 'spl.csv']\n"
+        "runpy.run_module('noon_coherence.cli', run_name='__main__')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=cli_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "spl.csv").read_bytes() == (FIXTURES / "splitter_n5.csv").read_bytes()

@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from noon_coherence.channels import LossSetting, lossy_number_distribution
 from noon_coherence.fock import (
     density_from_json,
     density_to_json,
+    log_factorial,
     state_from_json,
     state_to_json,
 )
@@ -279,3 +283,33 @@ def test_density_json_round_trip():
     assert np.allclose(back.entries, rho.entries)
     with pytest.raises(ValueError):
         density_from_json({"cutoff": 2})
+
+
+def test_log_factorial_is_correctly_rounded():
+    ctx = decimal.Context(prec=50)
+    total = decimal.Decimal(0)
+    reference = [0.0]
+    for k in range(1, 4001):
+        total = ctx.add(total, ctx.ln(k))
+        reference.append(float(total))
+    table = log_factorial(np.arange(4001))
+    assert np.flatnonzero(table != np.array(reference)).tolist() == []
+    # the sum of x87 extended-precision logs alone rounds this entry up
+    assert log_factorial(6974) == float(ctx.ln(math.factorial(6974)))
+
+
+def test_log_factorial_edges():
+    assert log_factorial(-1) == np.inf
+    assert np.all(log_factorial(np.array([-3, -2, -1])) == np.inf)
+    assert np.ndim(log_factorial(5)) == 0
+    assert log_factorial(5) == float(decimal.Context(prec=50).ln(120))
+    assert log_factorial(5.0) == log_factorial(5) == log_factorial(np.uint8(5))
+    grid = np.arange(-2, 10).reshape(3, 4)
+    values = log_factorial(grid)
+    assert values.shape == (3, 4)
+    assert np.all(values[grid < 0] == np.inf)
+    assert np.array_equal(values[grid >= 0], log_factorial(np.arange(10)))
+    assert log_factorial(np.zeros((0, 2), dtype=int)).shape == (0, 2)
+    for bad in (2.5, np.nan, np.inf, [1.0, 2.5], "3"):
+        with pytest.raises(ValueError):
+            log_factorial(bad)
