@@ -4,6 +4,7 @@ from .channels import LossSetting, apply_loss, detected_moment
 from .coherence import (
     CoherenceElement,
     CoherenceReport,
+    OrderArrays,
     OrderCoherence,
     catness_fidelity,
     coherence_report,
@@ -12,6 +13,7 @@ from .coherence import (
     max_coherence_sum,
     max_coherence_sum_numeric,
     normalization,
+    order_coherences,
     s_factor,
     spread,
 )

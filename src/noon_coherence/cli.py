@@ -196,7 +196,8 @@ def cmd_attenuate(args: argparse.Namespace) -> int:
     dist_rows = [[two_jz, prob] for two_jz, prob in dist.items()]
 
     etas = np.linspace(0.0, 1.0, steps)
-    base = {o: coherence.catness_fidelity(state, o).bound for o in orders}
+    bounds = coherence.order_coherences(state.amplitudes, orders).bound[0]
+    base = dict(zip(orders, bounds.tolist()))
     curve_rows = [
         [e] + [base[o] * e**o for o in orders] for e in etas
     ]
@@ -234,8 +235,12 @@ def cmd_splitter(args: argparse.Namespace) -> int:
         if fmt == "json":
             write_output(args.output, json_text(report.to_json(), precision))
         else:
-            text = "\n".join(report.csv_rows(f"{{:.{precision}g}}")) + "\n"
-            write_output(args.output, text)
+            header = ["n", "C_n", "c_n", "norm", "S", "delta"]
+            rows = [
+                [e.order, e.fidelity, e.bound, e.norm, e.s_value, report.spread]
+                for e in report.orders
+            ]
+            write_output(args.output, csv_text(header, rows, precision))
         return EXIT_OK
     etas = [float(tok) for tok in str(args.eta).split(",") if tok.strip()]
     if any(not 0.0 <= e <= 1.0 for e in etas):

@@ -14,11 +14,22 @@ chains linking the index classes {m, m+n, m+2n, ...}; its maximum over the
 unit sphere is half the top chain eigenvalue, giving the closed form
 cos(pi / (floor(N/n) + 2)).  A projected-gradient maximizer ships alongside
 as an independent check of that derivation.
+
+Pure fixed-N states go through one array kernel, ``order_coherences``: it
+takes a (T, N+1) block of amplitude rows and a set of orders and returns
+C_n, S and c_n for every (row, order).  The pairs (d_m, d_{m+n}) are strided
+views of the rows, the factorial weights B_m come from a log table built on
+the first use of each N and cached, and S is a masked argmax.
+``catness_fidelity`` (one row, one order), ``coherence_report`` (one row,
+all orders) and ``dynamics.evolve`` (T rows) all call it.  Reports hold
+per-order scalars; the element lists are built only by
+``CoherenceReport.to_json`` and ``coherence_spectrum``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,6 +135,25 @@ class CoherenceElement:
     magnitude: float
 
 
+def _element_arrays(
+    state: State, order: int, element_tol: float = ELEMENT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n', m' and magnitudes of the order-n elements above tol, in spectrum
+    order: ascending m' for a pure state, (n', m') lexicographic otherwise."""
+    if isinstance(state, FixedNState):
+        n_tot = state.total_number
+        d = state.amplitudes
+        m = np.arange(max(n_tot - order + 1, 0))
+        mags = 2.0 * np.abs(d[m + order] * np.conj(d[m]))
+        keep = mags > element_tol
+        return n_tot - order - m[keep], m[keep], mags[keep]
+    n_left, m_right, values = state.coherences(order)
+    mags = 2.0 * np.abs(values)
+    keep = np.flatnonzero(mags > element_tol)
+    keep = keep[np.lexsort((m_right[keep], n_left[keep]))]
+    return n_left[keep], m_right[keep], mags[keep]
+
+
 def coherence_spectrum(
     state: State, order: int, element_tol: float = ELEMENT_TOL
 ) -> list[CoherenceElement]:
@@ -134,25 +164,11 @@ def coherence_spectrum(
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    elements: list[CoherenceElement] = []
-    if isinstance(state, FixedNState):
-        n_tot = state.total_number
-        d = state.amplitudes
-        for m in range(0, n_tot - order + 1):
-            mag = 2.0 * abs(d[m + order] * np.conj(d[m]))
-            if mag > element_tol:
-                n_left = n_tot - order - m
-                elements.append(
-                    CoherenceElement(order, n_left, m, n_left - m, float(mag))
-                )
-        return elements
-    n_left, m_right, values = state.coherences(order)
-    mags = 2.0 * np.abs(values)
-    keep = np.flatnonzero(mags > element_tol)
-    for i in keep[np.lexsort((m_right[keep], n_left[keep]))]:
-        n_l, m_r = int(n_left[i]), int(m_right[i])
-        elements.append(CoherenceElement(order, n_l, m_r, n_l - m_r, float(mags[i])))
-    return elements
+    left, right, mags = _element_arrays(state, order, element_tol)
+    return [
+        CoherenceElement(order, n_l, m_r, n_l - m_r, mag)
+        for n_l, m_r, mag in zip(left.tolist(), right.tolist(), mags.tolist())
+    ]
 
 
 def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
@@ -162,10 +178,23 @@ def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
     j = (n_a - n_b)/2, between basis states the state actually connects.
     """
     if isinstance(state, FixedNState):
+        # Sorted by descending magnitude, the partners j of amplitude i with
+        # 2 |d_i d_j| > tol are a prefix whose length only shrinks as |d_i|
+        # does; the widest pair of i lies at an end of that prefix's index
+        # range.  Once the prefix ends before i, every pair was seen.
         mags = np.abs(state.amplitudes)
-        pair = 2.0 * np.outer(mags, mags)
-        i, j = np.nonzero(pair > element_tol)
-        return int(np.max(j - i)) if i.size else 0
+        rank = np.argsort(-mags)
+        top = np.maximum.accumulate(rank).tolist()
+        bottom = np.minimum.accumulate(rank).tolist()
+        desc = mags[rank].tolist()
+        widest, count = 0, len(desc)
+        for r, (index, value) in enumerate(zip(rank.tolist(), desc)):
+            while count > r and not 2.0 * (value * desc[count - 1]) > element_tol:
+                count -= 1
+            if count <= r:
+                break
+            widest = max(widest, top[count - 1] - index, index - bottom[count - 1])
+        return widest
     widest = 0
     for block in state.blocks:
         rows, cols = np.nonzero(2.0 * np.abs(block) > element_tol)
@@ -174,19 +203,174 @@ def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
 
 
 # ---------------------------------------------------------------------------
-# support factor S
+# the order kernel: C_n, S and c_n of amplitude rows over many orders
 # ---------------------------------------------------------------------------
 
+# Bytes the kernel's temporaries may hold at once: rows are processed in
+# chunks sized to this (one row at least), whatever the number of rows.
+KERNEL_BYTES = 32 * 2**20
+# Upper bound on the live temporary bytes per (row, order, m) element.
+_ELEMENT_BYTES = 40
 
-def log_b_factors(total_number: int, order: int) -> np.ndarray:
-    """log of B_m = sqrt((m+n)! (N-m)! / (m! (N-m-n)!)) for m = 0..N-n."""
-    m = np.arange(total_number - order + 1)
-    return 0.5 * (
+
+@lru_cache(maxsize=8)
+def _order_tables(total_number: int) -> tuple[np.ndarray, np.ndarray]:
+    """log B_m[n, m] = log sqrt((m+n)! (N-m)! / (m! (N-m-n)!)) for every order
+    n = 0..N (-inf where m > N - n), and the normalization of each order."""
+    n_tot = total_number
+    order = np.arange(n_tot + 1)[:, None]
+    m = np.arange(n_tot + 1)
+    log_b = 0.5 * (
         log_factorial(m + order)
         - log_factorial(m)
-        + log_factorial(total_number - m)
-        - log_factorial(total_number - m - order)
+        + log_factorial(n_tot - m)
+        - log_factorial(n_tot - m - order)
     )
+    norms = np.array([np.nan] + [normalization(n_tot, n) for n in range(1, n_tot + 1)])
+    log_b.setflags(write=False)
+    norms.setflags(write=False)
+    return log_b, norms
+
+
+def _partners(values: np.ndarray, orders: np.ndarray, fill) -> np.ndarray:
+    """[t, k, m] -> values[t, m + orders[k]], ``fill`` past the end; a strided
+    view of the padded rows when the orders are consecutive."""
+    rows, dim = values.shape
+    padded = np.concatenate(
+        (values, np.full((rows, int(orders.max())), fill, values.dtype)), axis=1
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(padded, dim, axis=1)
+    first = int(orders[0])
+    if np.array_equal(orders, np.arange(first, first + orders.size)):
+        return windows[:, first : first + orders.size]
+    return windows[:, orders]
+
+
+@dataclass(frozen=True)
+class OrderArrays:
+    """C_n, c_n and S of fixed-N amplitude rows (axis 0) at each order (axis 1).
+
+    Orders above N give C_n = c_n = 0 with nan normalization and S; rows and
+    orders without a supported pair give c_n = 0, nan S and ``s_m`` = -1.
+    """
+
+    total_number: int
+    orders: np.ndarray  # (K,)
+    norm: np.ndarray  # (K,)
+    fidelity: np.ndarray  # C_n
+    bound: np.ndarray  # c_n
+    s_log: np.ndarray  # log S
+    s_m: np.ndarray  # m' of the pair (n', m') = (N - n - m', m') attaining S
+
+    def entries(self, row: int = 0) -> tuple[OrderCoherence, ...]:
+        """The per-order results of one row."""
+        with np.errstate(over="ignore"):  # the linear S value may be inf at large N
+            s_value = np.exp(self.s_log[row])
+        columns = zip(
+            self.orders.tolist(),
+            self.fidelity[row].tolist(),
+            self.bound[row].tolist(),
+            self.norm.tolist(),
+            s_value.tolist(),
+            self.s_log[row].tolist(),
+            self.s_m[row].tolist(),
+        )
+        n_tot = self.total_number
+        return tuple(
+            OrderCoherence(n, big, small, norm, s, log_s, (n_tot - n - m, m) if m >= 0 else None)
+            for n, big, small, norm, s, log_s, m in columns
+        )
+
+
+def order_coherences(
+    amplitudes, orders, support_eps: float = SUPPORT_EPS
+) -> OrderArrays:
+    """C_n, S and c_n of a (T, N+1) block of amplitude rows at every order.
+
+    Per row and order n, with pairs (d_m, d_{m+n}) for m = 0..N-n:
+    C_n = N_{n,N} sum_m |d_m| |d_{m+n}|; S = max B_m over the supported
+    pairs (both probabilities above ``support_eps``, first m on ties); and
+    c_n = N_{n,N} |sum_m d_m conj(d_{m+n}) B_m / S| over every pair with a
+    nonzero product, each term formed from log magnitudes so that B_m, which
+    overflows float64 at large N, never appears on its own.  The pairs are
+    strided views of the rows; B_m comes from a table cached per N.  Rows are
+    taken in chunks so the temporaries stay within ``KERNEL_BYTES``.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim == 1:
+        amps = amps[None, :]
+    rows, dim = amps.shape
+    n_tot = dim - 1
+    orders = np.fromiter(orders, dtype=int)
+    if orders.size and orders.min() < 1:
+        raise ValueError("order must be >= 1")
+    shape = (rows, orders.size)
+    result = OrderArrays(
+        n_tot,
+        orders,
+        np.full(orders.size, np.nan),
+        np.zeros(shape),
+        np.zeros(shape),
+        np.full(shape, np.nan),
+        np.full(shape, -1),
+    )
+    live = np.flatnonzero(orders <= n_tot)
+    if not live.size or not rows:
+        return result
+    log_b_all, norms = _order_tables(n_tot)
+    picked = orders[live]
+    norm = norms[picked]
+    result.norm[live] = norm
+    log_b = log_b_all[picked]
+    chunk = max(1, KERNEL_BYTES // (_ELEMENT_BYTES * picked.size * dim))
+    for start in range(0, rows, chunk):
+        block = slice(start, start + chunk)
+        fidelity, bound, s_log, s_m = _order_rows(amps[block], picked, log_b, norm, support_eps)
+        result.fidelity[block, live] = fidelity
+        result.bound[block, live] = bound
+        result.s_log[block, live] = s_log
+        result.s_m[block, live] = s_m
+    return result
+
+
+def _order_rows(amps, orders, log_b, norm, support_eps):
+    mag = np.abs(amps)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag)
+    unit = np.divide(amps, mag, out=np.zeros_like(amps), where=mag > 0)
+    held = mag**2 > support_eps
+
+    pair = mag[:, None, :] * _partners(mag, orders, 0.0)
+    fidelity = norm * pair.sum(axis=-1)
+    no_product = pair == 0
+    del pair
+
+    supported = held[:, None, :] & _partners(held, orders, False)
+    masked = np.where(supported, log_b, -np.inf)
+    del supported
+    s_m = np.argmax(masked, axis=-1)
+    s_log = np.take_along_axis(masked, s_m[..., None], axis=-1)[..., 0]
+    del masked
+    found = s_log > -np.inf
+    # Every pair enters the sum, the unsupported ones with weights B_m / S
+    # that may exceed 1.  A certified c_n would take the summed ``weight``
+    # of the pairs where ``supported`` is false off |sum| before scaling.
+    # Without support S = +inf, which zeroes every weight and so c_n.
+    weight = log_mag[:, None, :] + _partners(log_mag, orders, -np.inf)
+    weight += log_b
+    weight -= np.where(found, s_log, np.inf)[..., None]
+    np.exp(weight, out=weight)
+    np.copyto(weight, 0.0, where=no_product)  # products that underflow to 0 are left out
+    terms = unit[:, None, :] * _partners(unit.conj(), orders, 0.0)
+    terms *= weight
+    del weight
+    bound = norm * np.abs(terms.sum(axis=-1))
+    return fidelity, bound, np.where(found, s_log, np.nan), np.where(found, s_m, -1)
+
+
+# ---------------------------------------------------------------------------
+# support factor S
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -202,6 +386,12 @@ class SFactor:
         return self.pair[1]
 
 
+def _no_support(order: int, support_eps: float) -> ValueError:
+    return ValueError(
+        f"no supported mode-number pair at order {order} (support_eps={support_eps:g})"
+    )
+
+
 def s_factor(state: State, order: int, support_eps: float = SUPPORT_EPS) -> SFactor:
     """S = sup over supported (n', m') of sqrt((m'+n)!/m'!) sqrt((n'+n)!/n'!).
 
@@ -212,34 +402,18 @@ def s_factor(state: State, order: int, support_eps: float = SUPPORT_EPS) -> SFac
     if order < 1:
         raise ValueError("order must be >= 1")
     if isinstance(state, FixedNState):
-        n_tot = state.total_number
-        if order > n_tot:
+        if order > state.total_number:
             raise ValueError("order exceeds the total particle number")
-        probs = state.probabilities()
-        ms = np.arange(n_tot - order + 1)
-        supported = (probs[ms] > support_eps) & (probs[ms + order] > support_eps)
-        if not np.any(supported):
-            raise ValueError(
-                f"no supported mode-number pair at order {order} "
-                f"(support_eps={support_eps:g})"
-            )
-        logs = log_b_factors(n_tot, order)
-        masked = np.where(supported, logs, -np.inf)
-        m_best = int(np.argmax(masked))
-        return SFactor(
-            value=float(np.exp(logs[m_best])),
-            log_value=float(logs[m_best]),
-            pair=(n_tot - order - m_best, m_best),
-        )
+        (entry,) = order_coherences(state.amplitudes, (order,), support_eps).entries()
+        if entry.s_pair is None:
+            raise _no_support(order, support_eps)
+        return SFactor(entry.s_value, entry.s_log, entry.s_pair)
     probs = state.diagonal_probabilities()
     span = max(state.cutoff - order + 1, 0)
     # supported[n', m']: P(n', m'+n) and P(n'+n, m') both above support_eps
     supported = (probs[:span, order:] > support_eps) & (probs[order:, :span] > support_eps)
     if not np.any(supported):
-        raise ValueError(
-            f"no supported mode-number pair at order {order} "
-            f"(support_eps={support_eps:g})"
-        )
+        raise _no_support(order, support_eps)
     n_left, m_right = np.indices(supported.shape)
     log_w = 0.5 * (
         log_factorial(m_right + order)
@@ -269,12 +443,10 @@ class OrderCoherence:
     s_value: float
     s_log: float
     s_pair: tuple[int, int] | None
-    elements: tuple[CoherenceElement, ...]
-    b_values: tuple[float, ...] | None = None
 
 
 def _zero_order(order: int) -> OrderCoherence:
-    return OrderCoherence(order, 0.0, 0.0, float("nan"), float("nan"), float("nan"), None, ())
+    return OrderCoherence(order, 0.0, 0.0, float("nan"), float("nan"), float("nan"), None)
 
 
 def catness_fidelity(
@@ -291,58 +463,8 @@ def catness_fidelity(
     if order < 1:
         raise ValueError("order must be >= 1")
     if isinstance(state, FixedNState):
-        return _pure_catness(state, order, support_eps)
+        return order_coherences(state.amplitudes, (order,), support_eps).entries()[0]
     return _density_catness(state, order, support_eps)
-
-
-def _pure_catness(
-    state: FixedNState, order: int, support_eps: float
-) -> OrderCoherence:
-    n_tot = state.total_number
-    if order > n_tot:
-        return _zero_order(order)
-    d = state.amplitudes
-    norm = normalization(n_tot, order)
-    ms = np.arange(n_tot - order + 1)
-    pair_mag = np.abs(d[ms]) * np.abs(d[ms + order])
-    fidelity = float(norm * pair_mag.sum())
-    elements = coherence_spectrum(state, order)
-    logs = log_b_factors(n_tot, order)
-    with np.errstate(over="ignore"):  # linear B values may be inf at large N
-        b_values = tuple(float(v) for v in np.exp(logs))
-    probs = np.abs(d) ** 2
-    supported = (probs[ms] > support_eps) & (probs[ms + order] > support_eps)
-    if not np.any(supported):
-        return OrderCoherence(
-            order, fidelity, 0.0, norm, float("nan"), float("nan"), None, tuple(elements), b_values
-        )
-    masked = np.where(supported, logs, -np.inf)
-    m_best = int(np.argmax(masked))
-    log_s = float(logs[m_best])
-    # Accumulate conj(d_{m+n}) d_m B_m / S with every factor handled in log
-    # magnitude, so huge weights cannot overflow before the division by S.
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(d[ms])) + np.log(np.abs(d[ms + order])) + logs - log_s
-    phases = np.ones_like(d[ms])
-    nz = pair_mag > 0
-    phases[nz] = (d[ms][nz] / np.abs(d[ms][nz])) * np.conj(
-        d[ms + order][nz] / np.abs(d[ms + order][nz])
-    )
-    scaled = np.sum(np.exp(log_mag[nz]) * phases[nz]) if np.any(nz) else 0.0
-    bound = float(norm * abs(scaled))
-    with np.errstate(over="ignore"):  # the linear S value may be inf at large N
-        s_linear = float(np.exp(log_s))
-    return OrderCoherence(
-        order,
-        fidelity,
-        bound,
-        norm,
-        s_linear,
-        log_s,
-        (n_tot - order - m_best, m_best),
-        tuple(elements),
-        b_values,
-    )
 
 
 def _density_catness(
@@ -352,16 +474,14 @@ def _density_catness(
     if order > n_eff:
         return _zero_order(order)
     norm = normalization(n_eff, order)
-    elements = coherence_spectrum(state, order)
-    fidelity = float(norm * sum(e.magnitude for e in elements) / 2.0)
+    mags = 2.0 * np.abs(state.coherences(order)[2])
+    fidelity = float(norm * mags[mags > ELEMENT_TOL].sum() / 2.0)
     mom = moment(state, OperatorMonomial.cross(order))
     try:
         s = s_factor(state, order, support_eps)
     except ValueError:
         if abs(mom) <= ELEMENT_TOL:
-            return OrderCoherence(
-                order, fidelity, 0.0, norm, float("nan"), float("nan"), None, tuple(elements)
-            )
+            return OrderCoherence(order, fidelity, 0.0, norm, float("nan"), float("nan"), None)
         raise ValueError(
             f"order-{order} moment is nonzero but no mode-number pair is "
             f"supported at support_eps={support_eps:g}; lower the threshold"
@@ -369,9 +489,7 @@ def _density_catness(
     bound = 0.0
     if abs(mom) > 0.0:
         bound = float(norm * np.exp(np.log(abs(mom)) - s.log_value))
-    return OrderCoherence(
-        order, fidelity, bound, norm, s.value, s.log_value, s.pair, tuple(elements)
-    )
+    return OrderCoherence(order, fidelity, bound, norm, s.value, s.log_value, s.pair)
 
 
 def corrected_lower_bound(
@@ -403,39 +521,27 @@ def corrected_lower_bound(
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Per-order coherence summary of one state."""
+    """Per-order coherence summary of one state.
+
+    ``to_json`` lists each order's coherence elements; they are computed
+    from ``state`` only then.
+    """
 
     orders: tuple[OrderCoherence, ...]
     spread: int
     support_eps: float
     fixed_total: int | None  # None when the state is not a pure fixed-N state
-
-    def csv_rows(self, float_format: str = "{:.12g}") -> list[str]:
-        def fmt(x: float) -> str:
-            return float_format.format(x)
-
-        rows = ["n,C_n,c_n,norm,S,delta"]
-        for entry in self.orders:
-            rows.append(
-                ",".join(
-                    [
-                        str(entry.order),
-                        fmt(entry.fidelity),
-                        fmt(entry.bound),
-                        fmt(entry.norm),
-                        fmt(entry.s_value),
-                        str(self.spread),
-                    ]
-                )
-            )
-        return rows
+    state: State = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
-        return {
-            "spread": self.spread,
-            "support_eps": self.support_eps,
-            "fixed_total": self.fixed_total,
-            "orders": [
+        orders = []
+        for e in self.orders:
+            left, right, mags = _element_arrays(self.state, e.order)
+            elements = [
+                {"left": n_l, "right": m_r, "offset": n_l - m_r, "magnitude": mag}
+                for n_l, m_r, mag in zip(left.tolist(), right.tolist(), mags.tolist())
+            ]
+            orders.append(
                 {
                     "n": e.order,
                     "C_n": e.fidelity,
@@ -443,18 +549,14 @@ class CoherenceReport:
                     "norm": e.norm,
                     "S": e.s_value,
                     "s_pair": list(e.s_pair) if e.s_pair is not None else None,
-                    "elements": [
-                        {
-                            "left": el.left_index,
-                            "right": el.right_index,
-                            "offset": el.offset,
-                            "magnitude": el.magnitude,
-                        }
-                        for el in e.elements
-                    ],
+                    "elements": elements,
                 }
-                for e in self.orders
-            ],
+            )
+        return {
+            "spread": self.spread,
+            "support_eps": self.support_eps,
+            "fixed_total": self.fixed_total,
+            "orders": orders,
         }
 
 
@@ -470,12 +572,13 @@ def coherence_report(
     flag the convention.
     """
     if isinstance(state, FixedNState):
-        n_max = state.total_number
         fixed_total = state.total_number
+        if orders is None:
+            orders = range(1, fixed_total + 1)
+        entries = order_coherences(state.amplitudes, orders, support_eps).entries()
     else:
-        n_max = max(state.max_supported_total(support_eps), 1)
         fixed_total = None
-    if orders is None:
-        orders = range(1, n_max + 1)
-    entries = tuple(catness_fidelity(state, n, support_eps) for n in orders)
-    return CoherenceReport(entries, spread(state), support_eps, fixed_total)
+        if orders is None:
+            orders = range(1, max(state.max_supported_total(support_eps), 1) + 1)
+        entries = tuple(catness_fidelity(state, n, support_eps) for n in orders)
+    return CoherenceReport(entries, spread(state), support_eps, fixed_total, state)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coherence import catness_fidelity
+from .coherence import order_coherences
 from .errors import NoOscillationError
 from .fock import FixedNState, ladder_coefficients
 
@@ -110,14 +110,10 @@ def evolve(
     pm = np.abs(amps) ** 2
     jz_values = (system.total_number - 2.0 * np.arange(system.total_number + 1)) / 2.0
     jz = pm @ jz_values
-    cn: dict[int, np.ndarray] = {}
-    for order in orders:
-        series = np.empty(len(times))
-        for i in range(len(times)):
-            state = FixedNState(system.total_number, amps[i])
-            series[i] = catness_fidelity(state, order).bound
-        series.setflags(write=False)
-        cn[int(order)] = series
+    arrays = order_coherences(amps, orders)
+    series = arrays.bound.T.copy()  # one contiguous row per order
+    series.setflags(write=False)
+    cn = {int(order): row for order, row in zip(arrays.orders, series)}
     return EvolutionTrace(times, amps, pm, jz, cn, t_n)
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 
 import noon_coherence
-from noon_coherence import FixedNState, TwoModeDensityMatrix
-from noon_coherence.fock import annihilation_matrix
+from noon_coherence import FixedNState, TwoModeDensityMatrix, normalization
+from noon_coherence.fock import annihilation_matrix, log_factorial
 
 
 def random_fixed_state(total_number: int, rng: np.random.Generator) -> FixedNState:
@@ -51,6 +51,52 @@ def two_mode_spin_matrices(cutoff: int) -> dict[str, np.ndarray]:
     jz = (A.conj().T @ A - B.conj().T @ B) / 2.0
     ntot = A.conj().T @ A + B.conj().T @ B
     return {"jx": jx, "jy": jy, "jz": jz, "ntot": ntot}
+
+
+def reference_pure_catness(state: FixedNState, order: int, support_eps: float = 1e-9):
+    """C_n, c_n, norm, log S and the S pair of one order, computed one order at
+    a time with 1-D arrays: the reference for ``order_coherences``.
+
+    Returns (fidelity, bound, norm, s_log, s_pair); s_log is nan and s_pair
+    None without a supported pair, and an order above N gives zeros.
+    """
+    n_tot = state.total_number
+    if order > n_tot:
+        return 0.0, 0.0, float("nan"), float("nan"), None
+    d = state.amplitudes
+    norm = normalization(n_tot, order)
+    ms = np.arange(n_tot - order + 1)
+    pair_mag = np.abs(d[ms]) * np.abs(d[ms + order])
+    fidelity = float(norm * pair_mag.sum())
+    logs = 0.5 * (
+        log_factorial(ms + order)
+        - log_factorial(ms)
+        + log_factorial(n_tot - ms)
+        - log_factorial(n_tot - ms - order)
+    )
+    probs = np.abs(d) ** 2
+    supported = (probs[ms] > support_eps) & (probs[ms + order] > support_eps)
+    if not np.any(supported):
+        return fidelity, 0.0, norm, float("nan"), None
+    m_best = int(np.argmax(np.where(supported, logs, -np.inf)))
+    log_s = float(logs[m_best])
+    # conj(d_{m+n}) d_m B_m / S with every factor in log magnitude, so huge
+    # weights cannot overflow before the division by S
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(d[ms])) + np.log(np.abs(d[ms + order])) + logs - log_s
+    nz = pair_mag > 0
+    phases = (d[ms][nz] / np.abs(d[ms][nz])) * np.conj(
+        d[ms + order][nz] / np.abs(d[ms + order][nz])
+    )
+    scaled = np.sum(np.exp(log_mag[nz]) * phases) if np.any(nz) else 0.0
+    return fidelity, float(norm * abs(scaled)), norm, log_s, (n_tot - order - m_best, m_best)
+
+
+def reference_spread(state: FixedNState, element_tol: float = 1e-12) -> int:
+    """Largest j - i with 2 |d_i d_j| > tol, read off the full outer product."""
+    mags = np.abs(state.amplitudes)
+    i, j = np.nonzero(2.0 * np.outer(mags, mags) > element_tol)
+    return int(np.max(j - i)) if i.size else 0
 
 
 def close(a, b, tol=1e-10):

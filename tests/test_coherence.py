@@ -1,25 +1,45 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from noon_coherence import (
     LossSetting,
     apply_loss,
+    build_hamiltonian,
     catness_fidelity,
     coherence_report,
     coherence_spectrum,
     corrected_lower_bound,
     cross_moment,
+    evolve,
     max_coherence_sum,
     max_coherence_sum_numeric,
     normalization,
+    order_coherences,
     s_factor,
     spread,
     to_density_matrix,
 )
-from noon_coherence.fock import TwoModeDensityMatrix
-from noon_coherence.states import make_binomial_splitter, make_embedded_cat, make_noon
+from noon_coherence import cli
+from noon_coherence.coherence import KERNEL_BYTES
+from noon_coherence.fock import FixedNState, TwoModeDensityMatrix
+from noon_coherence.states import (
+    make_binomial_splitter,
+    make_embedded_cat,
+    make_noon,
+    make_number_pair,
+)
+from noon_coherence.tolerances import EQ_TOL
 
-from helpers import close, random_fixed_state, random_mixture
+from helpers import (
+    close,
+    random_fixed_state,
+    random_mixture,
+    reference_pure_catness,
+    reference_spread,
+)
 
 
 def chain_adjacency(n_tot: int, order: int) -> np.ndarray:
@@ -239,9 +259,11 @@ def test_corrected_lower_bound():
         corrected_lower_bound(1.0, -0.1, 3, 3, 6.0)
 
 
-def test_report_rows_and_flags():
+def test_report_rows_and_flags(tmp_path):
     report = coherence_report(make_binomial_splitter(5))
-    rows = report.csv_rows()
+    out = tmp_path / "spl.csv"
+    assert cli.main(["splitter", "--n", "5", "--output", str(out)]) == 0
+    rows = out.read_text().splitlines()
     assert rows[0] == "n,C_n,c_n,norm,S,delta"
     assert len(rows) == 6
     assert report.fixed_total == 5 and report.spread == 5
@@ -251,3 +273,127 @@ def test_report_rows_and_flags():
     rng = np.random.default_rng(36)
     mixed = coherence_report(random_mixture(4, rng), orders=(1, 2))
     assert mixed.fixed_total is None
+
+
+# ---------------------------------------------------------------------------
+# the order kernel
+# ---------------------------------------------------------------------------
+
+
+def _evolved_state(n_tot: int) -> FixedNState:
+    system = build_hamiltonian(n_tot, nonlinearity=2.0)
+    trace = evolve(system, make_number_pair(n_tot // 4, n_tot), [0.37])
+    return trace.state_at(0)
+
+
+@pytest.mark.parametrize("n_tot", [20, 100, 500])
+def test_kernel_matches_per_order_reference(n_tot):
+    rng = np.random.default_rng(n_tot)
+    states = {
+        "binomial": make_binomial_splitter(n_tot),
+        "noon": make_noon(n_tot, 0.3),
+        "random": random_fixed_state(n_tot, rng),
+        "evolved": _evolved_state(n_tot),
+    }
+    for name, state in states.items():
+        report = coherence_report(state)
+        assert [e.order for e in report.orders] == list(range(1, n_tot + 1))
+        assert report.spread == reference_spread(state), name
+        for entry in report.orders:
+            fidelity, bound, norm, s_log, s_pair = reference_pure_catness(state, entry.order)
+            where = f"{name} N={n_tot} n={entry.order}"
+            assert close(entry.fidelity, fidelity, EQ_TOL), where
+            assert close(entry.bound, bound, EQ_TOL), where
+            assert close(entry.norm, norm, EQ_TOL), where
+            assert entry.s_pair == s_pair, where
+            if s_pair is None:
+                assert np.isnan(entry.s_log) and np.isnan(entry.s_value), where
+            else:
+                assert close(entry.s_log, s_log, EQ_TOL), where
+                if s_log < np.log(np.finfo(float).max):
+                    assert close(entry.s_value, np.exp(s_log), EQ_TOL), where
+                else:
+                    assert entry.s_value == np.inf, where
+
+
+def test_kernel_takes_any_order_set():
+    state = random_fixed_state(30, np.random.default_rng(40))
+    orders = [7, 3, 30, 3, 45, 1]
+    arrays = order_coherences(np.stack([state.amplitudes] * 3), orders)
+    assert arrays.bound.shape == (3, len(orders))
+    for k, order in enumerate(orders):
+        fidelity, bound, *_ = reference_pure_catness(state, order)
+        assert np.all(arrays.fidelity[:, k] == arrays.fidelity[0, k])
+        assert close(arrays.fidelity[0, k], fidelity, EQ_TOL)
+        assert close(arrays.bound[0, k], bound, EQ_TOL)
+    above = orders.index(45)
+    assert np.all(arrays.bound[:, above] == 0) and np.all(arrays.fidelity[:, above] == 0)
+    assert np.isnan(arrays.norm[above]) and np.all(arrays.s_m[:, above] == -1)
+    with pytest.raises(ValueError):
+        order_coherences(state.amplitudes, [2, 0])
+
+
+def test_evolve_series_equals_catness_per_time():
+    n_tot = 20
+    system = build_hamiltonian(n_tot, nonlinearity=4.0)
+    times = np.linspace(0.0, 2.0, 9)
+    orders = list(range(1, n_tot + 3))
+    trace = evolve(system, make_number_pair(4, n_tot), times, orders)
+    for row in range(len(times)):
+        state = trace.state_at(row)
+        for order in orders:
+            assert trace.cn_series[order][row] == catness_fidelity(state, order).bound
+    assert np.all(trace.cn_series[n_tot + 1] == 0) and np.all(trace.cn_series[n_tot + 2] == 0)
+    with pytest.raises(ValueError):
+        evolve(system, make_number_pair(4, n_tot), times, [1, 0])
+
+
+def test_evolve_memory_stays_within_the_kernel_budget():
+    # All orders at N = 100 over 2000 times would need about 320 MB per
+    # temporary in one piece; chunked, the peak stays near the budget.
+    system = build_hamiltonian(100, nonlinearity=80.0)
+    initial = make_number_pair(46, 100)
+    times = np.linspace(0.0, 5.0, 2000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = evolve(system, initial, times, range(1, 101))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = sum(
+        a.nbytes
+        for a in (trace.amplitudes, trace.pm_distributions, trace.jz_mean, *trace.cn_series.values())
+    )
+    assert peak <= KERNEL_BYTES + outputs, (peak, KERNEL_BYTES, outputs)
+
+
+def test_noon_500_report_raises_no_warning():
+    # S overflows float64 at order 500, and orders 1..499 have no support.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = coherence_report(make_noon(500))
+        report.to_json()
+    assert close(report.orders[-1].bound, 1.0) and np.isinf(report.orders[-1].s_value)
+    assert all(e.bound == 0.0 and e.s_pair is None for e in report.orders[:-1])
+    assert report.spread == 500
+
+
+def test_report_json_elements_equal_spectrum():
+    rng = np.random.default_rng(41)
+    lossy_noon = apply_loss(to_density_matrix(make_noon(6)), LossSetting(0.7, 0.9))
+    cases = [
+        make_binomial_splitter(12),
+        make_embedded_cat(4, 20),
+        random_fixed_state(15, rng),
+        random_mixture(5, rng),
+        lossy_noon,
+    ]
+    for state in cases:
+        for entry in coherence_report(state).to_json()["orders"]:
+            spectrum = coherence_spectrum(state, entry["n"])
+            assert entry["elements"] == [
+                {"left": e.left_index, "right": e.right_index, "offset": e.offset,
+                 "magnitude": e.magnitude}
+                for e in spectrum
+            ]
