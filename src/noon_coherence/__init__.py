@@ -22,11 +22,10 @@ from .dynamics import (
     JosephsonSystem,
     PeriodEstimate,
     build_hamiltonian,
-    coherence_trace,
     evolve,
     tunnelling_period,
 )
-from .errors import AliasingError, NoOscillationError, TruncationError
+from .errors import AliasingError, NoOscillationError
 from .fock import (
     FixedNState,
     OperatorMonomial,

@@ -19,6 +19,7 @@ from .fock import (
     OperatorMonomial,
     State,
     TwoModeDensityMatrix,
+    _difference_distribution,
     log_factorial,
     moment,
     to_density_matrix,
@@ -73,37 +74,31 @@ def kraus_operators(eta: float, dim: int) -> list[np.ndarray]:
     return ops
 
 
-def _damp_mode(
-    rho: TwoModeDensityMatrix, blocks: list[np.ndarray], eta: float, mode_b: bool
-) -> list[np.ndarray]:
-    """Apply the single-mode channel to mode a (or b) of sector blocks laid
-    out as rho's.  Losing k quanta moves the rows and columns that hold at
-    least k quanta in that mode, weighted by the Kraus diagonals, from sector
-    N to sector N - k; losses from b also shift the b count, i.e. the block
-    index, down by k."""
-    dim = rho.cutoff + 1
-    weights = [kraus_weights(eta, dim, k) for k in range(dim)]
+def _damp_mode(blocks: list[np.ndarray], eta: float, mode_b: bool) -> list[np.ndarray]:
+    """Apply the single-mode channel to mode a (or b) of the complete sector
+    blocks N = 0..cutoff.  Losing k quanta maps the rows and columns of
+    sector N that hold at least k quanta in that mode, weighted by the Kraus
+    diagonals, onto rows 0..N-k of sector N - k: rows m >= k for mode b
+    (which also lowers the b count m by k), rows m <= N - k for mode a."""
+    weights = [kraus_weights(eta, len(blocks), k) for k in range(len(blocks))]
     out = [np.zeros_like(block) for block in blocks]
     for total, block in enumerate(blocks):
         if not block.any():
             continue
-        m = rho.block_start(total) + np.arange(len(block))
-        quanta = m if mode_b else total - m
-        for k in range(int(quanta.max()) + 1):
-            rows = np.flatnonzero(quanta >= k)  # one contiguous run
-            lo, hi = rows[0], rows[-1] + 1
-            w = weights[k][quanta[lo:hi] - k]
-            at = m[lo] - (k if mode_b else 0) - rho.block_start(total - k)
-            out[total - k][at : at + hi - lo, at : at + hi - lo] += (
-                w[:, None] * w[None, :] * block[lo:hi, lo:hi]
-            )
+        for k in range(total + 1):
+            kept = total - k + 1
+            if mode_b:  # row m holds m quanta in b
+                w, part = weights[k][:kept], block[k:, k:]
+            else:  # row m holds total - m quanta in a
+                w, part = weights[k][kept - 1 :: -1], block[:kept, :kept]
+            out[total - k] += w[:, None] * w[None, :] * part
     return out
 
 
 def apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> TwoModeDensityMatrix:
     """Trace-preserving binomial-damping channel on both modes."""
-    blocks = _damp_mode(rho, list(rho.blocks), loss.eta_a, mode_b=False)
-    blocks = _damp_mode(rho, blocks, loss.eta_b, mode_b=True)
+    blocks = _damp_mode(list(rho.blocks), loss.eta_a, mode_b=False)
+    blocks = _damp_mode(blocks, loss.eta_b, mode_b=True)
     # remove rounding-level asymmetry
     blocks = [(block + block.conj().T) / 2.0 for block in blocks]
     return TwoModeDensityMatrix._from_blocks(rho.cutoff, blocks)
@@ -146,14 +141,9 @@ def lossy_number_distribution(
     """
     n_tot = state.total_number
     dim = n_tot + 1
+    m = np.arange(dim)
     joint = np.zeros((dim, dim))
-    for m, p in enumerate(state.probabilities()):
-        joint[n_tot - m, m] = p
+    joint[n_tot - m, m] = state.probabilities()
     joint = _damping_transfer(loss.eta_a, dim) @ joint
     joint = joint @ _damping_transfer(loss.eta_b, dim).T
-    dist: dict[int, float] = {}
-    for diff in range(-n_tot, n_tot + 1):
-        p = float(np.diagonal(joint, -diff).sum())  # the n_a - n_b = diff line
-        if p > floor:
-            dist[diff] = p
-    return dict(sorted(dist.items()))
+    return _difference_distribution(joint, floor)

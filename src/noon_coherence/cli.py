@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, coherence, dynamics, interferometry, squeezing, states
-from .errors import AliasingError, NoOscillationError, TruncationError
+from .errors import AliasingError, NoOscillationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -347,15 +347,17 @@ def cmd_infer(args: argparse.Namespace) -> int:
     reports = []
     for index, data in enumerate(rows):
         xi, axis = squeezing.transverse_squeeze_parameter(data)
-        bound = squeezing.coherence_bound(xi, data.mean_n)
         entry = {
             "row": index,
             "n": data.mean_n,
-            "xi": bound.xi,
+            "xi": xi,
             "xi_axis": axis,
-            "min_order": bound.min_order,
-            "certified": bound.certified,
+            "min_order": None,
+            "certified": False,
         }
+        if xi > 0:  # xi = 0, no spread along the axis, bounds no order
+            bound = squeezing.coherence_bound(xi, data.mean_n)
+            entry.update(min_order=bound.min_order, certified=bound.certified)
         try:
             inference = squeezing.infer_two_atom_coherence(data).to_json()
             entry["chain"] = inference["chain"]
@@ -444,7 +446,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # the requested size does not fit in memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TruncationError, NoOscillationError, AliasingError, FloatingPointError) as exc:
+    except (NoOscillationError, AliasingError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -117,16 +117,6 @@ def evolve(
     return EvolutionTrace(times, amps, pm, jz, cn, t_n)
 
 
-def coherence_trace(
-    system: JosephsonSystem,
-    initial: FixedNState,
-    orders: Sequence[int],
-    times: Sequence[float],
-) -> Mapping[int, np.ndarray]:
-    """c_n(t) for each requested order along the evolution."""
-    return evolve(system, initial, times, orders).cn_series
-
-
 @dataclass(frozen=True)
 class PeriodEstimate:
     """Tunnelling period from the spectral gap, validated by a time scan."""

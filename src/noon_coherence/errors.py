@@ -1,10 +1,6 @@
 """Exceptions for failure modes that must never pass silently."""
 
 
-class TruncationError(RuntimeError):
-    """An operator moment needs occupation states beyond the stored cutoff."""
-
-
 class NoOscillationError(RuntimeError):
     """Two-state population transfer was not detected within the scan window."""
 

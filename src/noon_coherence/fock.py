@@ -2,13 +2,13 @@
 
 A pure state with fixed total particle number N lives on the (N+1)-dimensional
 sector spanned by |N-m>_a |m>_b; the amplitude vector stores d_0..d_N with d_m
-multiplying |N-m>_a |m>_b.  Mixed states are truncated at a per-mode
-occupation cutoff and, since every state and channel here conserves or only
-lowers the total number, stored as one block per total-number sector in that
-same basis: sector N keeps its in-grid part n_a, n_b <= cutoff, so memory
-grows as cutoff^3 and each operation works block by block.  The dense matrix
-over flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an
-input and output format.
+multiplying |N-m>_a |m>_b.  Mixed states are truncated at a total-number
+cutoff, n_a + n_b <= cutoff: every state, channel, rotation and spin operator
+here conserves or only lowers the total number, so nothing ever leaves that
+space.  They are stored as one complete (N+1) x (N+1) block per sector
+N = 0..cutoff in that same basis, about cutoff^3/3 numbers, and each
+operation works block by block.  The dense matrix over flattened pairs
+(n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an input and output format.
 
 All factorial ratios go through a cached table of log(n!), correctly rounded
 to float64, which keeps ladder-operator moments representable in float64 up
@@ -25,8 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import TruncationError
-from .tolerances import EQ_TOL, NORM_TOL, TRUNCATION_EPS
+from .tolerances import EQ_TOL, NORM_TOL
 
 
 def _log_factorial_table(size: int) -> np.ndarray:
@@ -144,34 +143,24 @@ class FixedNState:
         return float(abs(self.amplitudes[n_b]) ** 2)
 
 
-def _block_start(cutoff: int, total: int) -> int:
-    return max(total - cutoff, 0)
-
-
-def _block_size(cutoff: int, total: int) -> int:
-    return min(total, cutoff) - _block_start(cutoff, total) + 1
-
-
 def _dense_rows(cutoff: int, total: int) -> np.ndarray:
     """Rows of sector ``total``'s block in the dense flattened pair basis."""
-    m = _block_start(cutoff, total) + np.arange(_block_size(cutoff, total))
+    m = np.arange(total + 1)
     return (total - m) * (cutoff + 1) + m
 
 
 @lru_cache(maxsize=16)
 def _sector_layout(cutoff: int) -> tuple[np.ndarray, ...]:
-    """The grid states (n_a, n_b <= cutoff) in sector order, N = n_a + n_b
-    ascending and n_b ascending within a sector, as read-only arrays: n_a,
-    n_b, local index inside the sector block, block size, and the position
-    of the state's diagonal element in the concatenated row-major blocks."""
+    """The states with n_a + n_b <= cutoff in sector order, N = n_a + n_b
+    ascending and n_b (the row inside the sector block) ascending within a
+    sector, as read-only arrays: n_a, n_b, and the position of the state's
+    diagonal element in the concatenated row-major blocks."""
     columns = []
     offset = 0
-    for total in range(2 * cutoff + 1):
-        size = _block_size(cutoff, total)
-        local = np.arange(size)
-        n_b = _block_start(cutoff, total) + local
-        columns.append((total - n_b, n_b, local, np.full(size, size), offset + local * (size + 1)))
-        offset += size * size
+    for total in range(cutoff + 1):
+        n_b = np.arange(total + 1)
+        columns.append((total - n_b, n_b, offset + n_b * (total + 2)))
+        offset += (total + 1) ** 2
     layout = tuple(np.concatenate(column) for column in zip(*columns))
     for arr in layout:
         arr.setflags(write=False)
@@ -179,19 +168,18 @@ def _sector_layout(cutoff: int) -> tuple[np.ndarray, ...]:
 
 
 class TwoModeDensityMatrix:
-    """Hermitian, unit-trace density matrix truncated at ``cutoff`` per mode.
+    """Hermitian, unit-trace density matrix on total numbers n_a + n_b <= cutoff.
 
-    Stored as one block per total-number sector N = 0..2*cutoff:
-    blocks[N][i, j] = <N-m, m| rho |N-m', m'> with m = block_start(N) + i and
-    m' = block_start(N) + j, the |N-m>_a |m>_b basis of FixedNState restricted
-    to its in-grid part n_a, n_b <= cutoff.  Coherence between sectors is not
-    representable.
+    Stored as one complete block per total-number sector N = 0..cutoff:
+    blocks[N][m, m'] = <N-m, m| rho |N-m', m'>, the |N-m>_a |m>_b basis of
+    FixedNState, so the state takes sum (N+1)^2, about cutoff^3/3, numbers.
+    Coherence between sectors is not representable.
 
     The constructor takes the dense ((cutoff+1)^2, (cutoff+1)^2) matrix over
     the flattened pair basis n_a * (cutoff + 1) + n_b and rejects elements
-    between different sectors above 1e-12.  Construction enforces
-    Hermiticity, unit trace, nonnegative diagonal and the necessary
-    positivity condition |rho_ij|^2 <= rho_ii * rho_jj.
+    between different sectors, or on totals n_a + n_b > cutoff, above 1e-12.
+    Construction enforces Hermiticity, unit trace, nonnegative diagonal and
+    the necessary positivity condition |rho_ij|^2 <= rho_ii * rho_jj.
     """
 
     __slots__ = ("cutoff", "blocks", "_flat", "_populations")
@@ -210,7 +198,12 @@ class TwoModeDensityMatrix:
                 "density matrix has coherence between total-number sectors "
                 "above 1e-12; only number-conserving states are supported"
             )
-        sectors = [_dense_rows(cutoff, total) for total in range(2 * cutoff + 1)]
+        if np.any(n_a[rows] + n_b[rows] > cutoff):
+            raise ValueError(
+                f"density matrix occupies total numbers n_a + n_b > cutoff {cutoff} "
+                "above 1e-12; the cutoff bounds the total number"
+            )
+        sectors = [_dense_rows(cutoff, total) for total in range(cutoff + 1)]
         self._store(cutoff, [ent[np.ix_(rows, rows)] for rows in sectors])
 
     @classmethod
@@ -221,7 +214,7 @@ class TwoModeDensityMatrix:
         return rho
 
     def _store(self, cutoff: int, blocks) -> None:
-        sizes = [_block_size(cutoff, total) for total in range(2 * cutoff + 1)]
+        sizes = range(1, cutoff + 2)
         if [np.shape(b) for b in blocks] != [(n, n) for n in sizes]:
             raise ValueError(f"sector blocks do not match cutoff {cutoff}")
         flat = np.concatenate([np.asarray(b, dtype=complex).ravel() for b in blocks])
@@ -229,7 +222,7 @@ class TwoModeDensityMatrix:
         views = [part.reshape(n, n) for part, n in zip(parts, sizes)]
         if max(np.max(np.abs(b - b.conj().T)) for b in views) > 1e-12:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        n_a, n_b, _, _, diag_pos = _sector_layout(cutoff)
+        n_a, n_b, diag_pos = _sector_layout(cutoff)
         diag = flat[diag_pos]
         if np.max(np.abs(diag.imag)) > 1e-12 or np.min(diag.real) < -1e-12:
             raise ValueError("diagonal must be real and nonnegative")
@@ -261,10 +254,6 @@ class TwoModeDensityMatrix:
         ent.setflags(write=False)
         return ent
 
-    def block_start(self, total: int) -> int:
-        """Smallest n_b of sector ``total`` inside the grid: row 0 of its block."""
-        return _block_start(self.cutoff, total)
-
     def index(self, n_a: int, n_b: int) -> int:
         """Row of |n_a, n_b> in the dense ``entries`` matrix."""
         if not (0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff):
@@ -276,10 +265,9 @@ class TwoModeDensityMatrix:
         for n_a, n_b in (bra, ket):
             self.index(n_a, n_b)  # range check
         total = sum(bra)
-        if sum(ket) != total:
+        if sum(ket) != total or total > self.cutoff:
             return 0j
-        start = self.block_start(total)
-        return complex(self.blocks[total][bra[1] - start, ket[1] - start])
+        return complex(self.blocks[total][bra[1], ket[1]])
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Occupation probabilities as a read-only (cutoff+1, cutoff+1) array [n_a, n_b]."""
@@ -288,11 +276,11 @@ class TwoModeDensityMatrix:
     def coherences(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stored element <n', m'+order| rho |n'+order, m'> as arrays
         n', m' and values; they sit on the order-th subdiagonal of each block."""
-        n_a, n_b, local, _, diag_pos = _sector_layout(self.cutoff)
-        bra = local >= order
+        n_a, n_b, diag_pos = _sector_layout(self.cutoff)
+        bra = n_b >= order
         return n_a[bra], n_b[bra] - order, self._flat[diag_pos[bra] - order]
 
-    def max_supported_total(self, eps: float = TRUNCATION_EPS) -> int:
+    def max_supported_total(self, eps: float) -> int:
         """Largest n_a + n_b carrying probability above ``eps``."""
         probs = self.diagonal_probabilities()
         na, nb = np.indices(probs.shape)
@@ -400,27 +388,14 @@ def _pure_moment(state: FixedNState, mono: OperatorMonomial) -> complex:
     return complex(np.sum(np.conj(d[mb]) * d[m] * np.exp(logf)))
 
 
-def _density_moment(
-    state: TwoModeDensityMatrix, mono: OperatorMonomial, trunc_eps: float
-) -> complex:
-    cut = state.cutoff
-    probs = state.diagonal_probabilities()
-    na, nb = np.indices(probs.shape)
-    acts = (na >= mono.r) & (nb >= mono.s)
-    inside = (na - mono.r + mono.p <= cut) & (nb - mono.s + mono.q <= cut)
-    lost = np.argwhere(acts & ~inside & (probs > trunc_eps))
-    if lost.size:
-        raise TruncationError(
-            f"moment {mono} maps occupied state ({lost[0][0]}, {lost[0][1]}) beyond "
-            f"cutoff {cut}; enlarge the cutoff"
-        )
+def _density_moment(state: TwoModeDensityMatrix, mono: OperatorMonomial) -> complex:
     if mono.p + mono.q != mono.r + mono.s:
         return 0j  # the monomial leaves the sector: no block element connects
     # Within a sector the monomial moves n_b by q - s, i.e. the block column
-    # of a row by the same amount.
+    # of a row by the same amount; the target stays inside the sector.
     shift = mono.q - mono.s
-    na, nb, local, size, diag_pos = _sector_layout(cut)
-    use = (na >= mono.r) & (nb >= mono.s) & (local + shift >= 0) & (local + shift < size)
+    na, nb, diag_pos = _sector_layout(state.cutoff)
+    use = (na >= mono.r) & (nb >= mono.s)
     if not np.any(use):
         return 0j
     na, nb = na[use], nb[use]
@@ -441,18 +416,17 @@ def _density_moment(
     return complex(np.sum(state._flat[diag_pos[use] + shift] * factor))
 
 
-def moment(state: State, mono, trunc_eps: float = TRUNCATION_EPS) -> complex:
+def moment(state: State, mono) -> complex:
     """Expectation of the normally ordered product (a^dag)^p (b^dag)^q a^r b^s.
 
     For fixed-N pure states this is the amplitude-pair sum; for density
-    matrices it is Tr(rho * monomial).  Raises TruncationError when the
-    monomial would couple occupied states above the stored cutoff instead of
-    returning a silently wrong value.
+    matrices it is Tr(rho * monomial), exact because every stored sector is
+    complete.  A monomial that changes the total number gives exactly 0j.
     """
     mono = _as_monomial(mono)
     if isinstance(state, FixedNState):
         return _pure_moment(state, mono)
-    return _density_moment(state, mono, trunc_eps)
+    return _density_moment(state, mono)
 
 
 def cross_moment(state: State, n: int) -> complex:
@@ -559,20 +533,11 @@ def _pure_third(d: np.ndarray, n_tot: int, theta: float, power: int) -> float:
 def _density_schwinger(
     state: TwoModeDensityMatrix, angles: Sequence[float]
 ) -> SchwingerMoments:
-    # Spin operators conserve total number; sectors with n_a + n_b > cutoff
-    # are only partially stored, so moments there would be silently wrong.
-    if state.max_supported_total() > state.cutoff:
-        raise TruncationError(
-            "state occupies total-number sectors beyond the per-mode cutoff; "
-            "enlarge the cutoff before taking spin moments"
-        )
     names = ("jx", "jy", "jz", "ntot", "jx2", "jy2", "jz2", "jxy_anti")
     sums = dict.fromkeys(names, 0.0)
     jtheta2, jtheta3, gtheta3 = (dict.fromkeys(angles, 0.0) for _ in range(3))
-    # <O> = sum over sectors of Tr(O_N rho_N), O_N tridiagonal (or diagonal);
-    # the partial sectors above the cutoff hold no probability above
-    # TRUNCATION_EPS (checked above) and are left out.
-    for n_tot, rho in enumerate(state.blocks[: state.cutoff + 1]):
+    # <O> = sum over sectors of Tr(O_N rho_N), O_N tridiagonal (or diagonal)
+    for n_tot, rho in enumerate(state.blocks):
         jx_r, jy_r = _sector_jx(rho, n_tot), _sector_jy(rho, n_tot)
         jz = _sector_jz_values(n_tot)
         probs = rho.diagonal().real
@@ -611,49 +576,28 @@ def number_distribution(state: State, floor: float = 1e-15) -> dict[int, float]:
         n_tot = state.total_number
         probs = state.probabilities()
         dist = {int(n_tot - 2 * m): float(p) for m, p in enumerate(probs) if p > floor}
-    else:
-        grid = state.diagonal_probabilities()
-        dist: dict[int, float] = {}
-        for diff in range(-state.cutoff, state.cutoff + 1):
-            p = float(np.diagonal(grid, -diff).sum())  # the n_a - n_b = diff line
-            if p > floor:
-                dist[diff] = p
-    return dict(sorted(dist.items()))
+        return dict(sorted(dist.items()))
+    return _difference_distribution(state.diagonal_probabilities(), floor)
 
 
-def _zero_blocks(cutoff: int) -> list[np.ndarray]:
-    return [
-        np.zeros((_block_size(cutoff, total),) * 2, dtype=complex)
-        for total in range(2 * cutoff + 1)
-    ]
+def _difference_distribution(grid: np.ndarray, floor: float) -> dict[int, float]:
+    """P(n_a - n_b) from a square grid of occupation probabilities [n_a, n_b],
+    one line sum per difference, dropping values at or below ``floor``."""
+    last = len(grid) - 1
+    dist: dict[int, float] = {}
+    for diff in range(-last, last + 1):
+        p = float(np.diagonal(grid, -diff).sum())  # the n_a - n_b = diff line
+        if p > floor:
+            dist[diff] = p
+    return dist
 
 
 def to_density_matrix(state: FixedNState) -> TwoModeDensityMatrix:
     """Rank-1 density matrix of a fixed-N pure state, cutoff = N."""
     n_tot = state.total_number
-    blocks = _zero_blocks(n_tot)
-    blocks[n_tot] = np.outer(state.amplitudes, state.amplitudes.conj())
+    blocks = [np.zeros((total + 1, total + 1), dtype=complex) for total in range(n_tot)]
+    blocks.append(np.outer(state.amplitudes, state.amplitudes.conj()))
     return TwoModeDensityMatrix._from_blocks(n_tot, blocks)
-
-
-def pad_cutoff(rho: TwoModeDensityMatrix, cutoff: int) -> TwoModeDensityMatrix:
-    """Embed a density matrix in a larger cutoff grid (zero padding).
-
-    Exact by construction: the stored matrix defines the state completely,
-    so the added occupation levels carry no weight.  Useful headroom before
-    taking moments whose raising operators would otherwise hit the boundary.
-    Sector blocks up to the old cutoff are unchanged; the partial sectors
-    above it gain zero rows and columns for their new in-grid states.
-    """
-    if cutoff < rho.cutoff:
-        raise ValueError("pad_cutoff cannot shrink the grid")
-    if cutoff == rho.cutoff:
-        return rho
-    blocks = _zero_blocks(cutoff)
-    for total, block in enumerate(rho.blocks):
-        at = rho.block_start(total) - _block_start(cutoff, total)
-        blocks[total][at : at + len(block), at : at + len(block)] = block
-    return TwoModeDensityMatrix._from_blocks(cutoff, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, TruncationError
+from .errors import AliasingError
 from .fock import (
     FixedNState,
     State,
@@ -27,10 +27,9 @@ from .fock import (
     ladder_coefficients,
     log_factorial,
     moment,
-    pad_cutoff,
     schwinger_moments,
 )
-from .tolerances import EQ_TOL, TRUNCATION_EPS
+from .tolerances import EQ_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +85,11 @@ def mode_transform_density(
     rho: TwoModeDensityMatrix, u: np.ndarray
 ) -> TwoModeDensityMatrix:
     """Apply the mode map to a density matrix, one sector block at a time."""
-    if rho.max_supported_total(TRUNCATION_EPS) > rho.cutoff:
-        raise TruncationError(
-            "mode rotation needs all occupied total-number sectors inside the cutoff"
-        )
-    blocks = list(rho.blocks)
-    for total in range(rho.cutoff + 1):
+    blocks = []
+    for total, block in enumerate(rho.blocks):
         rotation = sector_unitary(total, u)
-        block = rotation @ blocks[total] @ rotation.conj().T
-        blocks[total] = (block + block.conj().T) / 2.0
+        block = rotation @ block @ rotation.conj().T
+        blocks.append((block + block.conj().T) / 2.0)
     return TwoModeDensityMatrix._from_blocks(rho.cutoff, blocks)
 
 
@@ -272,10 +267,6 @@ class QuadratureMoments:
 
     @classmethod
     def from_state(cls, state: State) -> "QuadratureMoments":
-        if isinstance(state, TwoModeDensityMatrix):
-            # quadrature monomials raise each mode by up to two quanta
-            state = pad_cutoff(state, state.cutoff + 2)
-
         def mom(p, q, r, s):
             return moment(state, (p, q, r, s))
 

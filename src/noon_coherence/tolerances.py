@@ -15,7 +15,3 @@ ELEMENT_TOL = 1e-12
 # Occupation probability above which a mode-number pair counts as supported
 # when taking suprema over the state's support.  Configurable per call.
 SUPPORT_EPS = 1e-9
-
-# Boundary probability above which a truncated moment is refused rather than
-# silently computed.
-TRUNCATION_EPS = 1e-12

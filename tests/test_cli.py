@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,18 @@ def test_infer_matches_fixture(tmp_path):
     ).read_bytes() == (FIXTURES / "infer_report.json").read_bytes()
     report = json.loads((tmp_path / "rep.json").read_text())
     assert [row["xi"] for row in report["rows"]] == pytest.approx([0.3, 0.5, 0.9])
+
+
+def test_infer_reports_zero_xi_as_no_bound(tmp_path):
+    (tmp_path / "rows.csv").write_text("n,jx,jy,jz,jy2,jz2\n100,0,0,0,25,0\n100,40,0,0,40,10\n")
+    result = run_cli(["infer", "--data", "rows.csv", "--output", "rep.json"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    first, second = json.loads((tmp_path / "rep.json").read_text())["rows"]
+    assert first["xi"] == 0.0 and first["xi_axis"] == "jz"
+    assert first["min_order"] is None and first["certified"] is False
+    assert second["xi"] == pytest.approx(math.sqrt(10) / 5)
+    assert second["min_order"] == pytest.approx(10 / (math.sqrt(10) / 5))
+    assert second["certified"] is True
 
 
 def test_outputs_identical_across_runs_and_threads(tmp_path):

@@ -5,7 +5,6 @@ from noon_coherence import (
     NoOscillationError,
     build_hamiltonian,
     catness_fidelity,
-    coherence_trace,
     evolve,
     tunnelling_period,
 )
@@ -136,7 +135,7 @@ def test_two_state_population_transfer():
 
 def test_coherence_trace_zero_at_number_state():
     system = build_hamiltonian(5, 3.0)
-    series = coherence_trace(system, make_number_pair(0, 5), range(1, 6), [0.0])
+    series = evolve(system, make_number_pair(0, 5), [0.0], range(1, 6)).cn_series
     for order in range(1, 6):
         assert series[order][0] == 0.0
 

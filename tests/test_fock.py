@@ -7,7 +7,6 @@ import pytest
 from noon_coherence import (
     FixedNState,
     OperatorMonomial,
-    TruncationError,
     TwoModeDensityMatrix,
     cross_moment,
     moment,
@@ -15,7 +14,7 @@ from noon_coherence import (
     schwinger_moments,
     to_density_matrix,
 )
-from noon_coherence.channels import LossSetting, lossy_number_distribution
+from noon_coherence.channels import LossSetting, apply_loss, lossy_number_distribution
 from noon_coherence.fock import (
     density_from_json,
     density_to_json,
@@ -23,6 +22,7 @@ from noon_coherence.fock import (
     state_from_json,
     state_to_json,
 )
+from noon_coherence.interferometry import beam_splitter_matrix, mode_transform_density
 from noon_coherence.states import make_binomial_splitter, make_noon, make_number_pair
 
 from helpers import (
@@ -126,13 +126,38 @@ def test_density_moment_matches_pure_formula():
             assert close(cross_moment(rho, order), cross_moment(state, order))
 
 
-def test_moment_truncation_error():
+def test_occupation_above_the_cutoff_is_rejected():
     dim = 3
     ent = np.zeros((dim * dim, dim * dim), dtype=complex)
-    ent[dim * 2 + 2, dim * 2 + 2] = 1.0  # pure |2, 2> at cutoff 2
-    rho = TwoModeDensityMatrix(2, ent)
-    with pytest.raises(TruncationError):
-        moment(rho, (1, 0, 0, 1))
+    ent[dim * 2 + 2, dim * 2 + 2] = 1.0  # pure |2, 2>: total 4 above cutoff 2
+    with pytest.raises(ValueError, match="total numbers n_a \\+ n_b > cutoff"):
+        TwoModeDensityMatrix(2, ent)
+    data = {"cutoff": 2, "entries_re": ent.real.tolist(), "entries_im": ent.imag.tolist()}
+    with pytest.raises(ValueError, match="total numbers n_a \\+ n_b > cutoff"):
+        density_from_json(data)
+
+
+def test_density_layout_is_complete_sectors():
+    rng = np.random.default_rng(8)
+    state = random_fixed_state(6, rng)
+    rho = to_density_matrix(state)
+    lossy = apply_loss(rho, LossSetting(0.7, 0.9))
+    rotated = mode_transform_density(lossy, beam_splitter_matrix(0.4))
+    for out in (rho, lossy, rotated):
+        assert len(out.blocks) == out.cutoff + 1
+        for total, block in enumerate(out.blocks):
+            assert block.shape == (total + 1, total + 1)
+    noon = to_density_matrix(make_noon(100))
+    assert sum(block.nbytes for block in noon.blocks) == 5_576_816  # 16 sum_{k<=101} k^2
+
+
+def test_number_changing_moment_is_exactly_zero():
+    # |2, 0> at cutoff 2: a^dag would leave the stored space, but a
+    # block-diagonal state has no element between different totals
+    rho = to_density_matrix(make_number_pair(2, 2))
+    assert rho.diagonal_probabilities()[2, 0] == 1.0
+    for mono in ((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 0, 1, 1)):
+        assert moment(rho, mono) == 0j
 
 
 def test_schwinger_single_excitation():
