@@ -25,7 +25,7 @@ from .dynamics import (
     evolve,
     tunnelling_period,
 )
-from .errors import AliasingError, NoOscillationError
+from .errors import AliasingError, NoOscillationError, NumericalError
 from .fock import (
     FixedNState,
     OperatorMonomial,

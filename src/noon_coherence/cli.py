@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, coherence, dynamics, interferometry, squeezing, states
-from .errors import AliasingError, NoOscillationError
+from .errors import AliasingError, NoOscillationError, NumericalError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -446,7 +446,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # the requested size does not fit in memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NoOscillationError, AliasingError, FloatingPointError) as exc:
+    except (NoOscillationError, AliasingError, NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .coherence import order_coherences
-from .errors import NoOscillationError
+from .errors import NoOscillationError, NumericalError
 from .fock import FixedNState, ladder_coefficients
 
 DEGENERACY_FLOOR_ULPS = 64  # pair gaps below this many ulps of |H| are noise
@@ -74,7 +74,7 @@ class EvolutionTrace:
     def __post_init__(self):
         norms = self.pm_distributions.sum(axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ValueError("evolution lost normalization beyond 1e-10")
+            raise NumericalError("evolution lost normalization beyond 1e-10")
         for arr in (self.times, self.amplitudes, self.pm_distributions, self.jz_mean):
             arr.setflags(write=False)
 

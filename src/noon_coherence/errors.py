@@ -7,3 +7,7 @@ class NoOscillationError(RuntimeError):
 
 class AliasingError(ValueError):
     """The phase grid is too coarse to resolve the requested fringe frequency."""
+
+
+class NumericalError(ArithmeticError):
+    """A computation drifted beyond its numerical tolerance (e.g. lost norm)."""

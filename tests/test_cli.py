@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from noon_coherence import cli
+from noon_coherence import cli, dynamics
+from noon_coherence.errors import NumericalError
+from noon_coherence.states import make_number_pair
 
 from helpers import cli_env
 
@@ -173,6 +175,21 @@ def test_numerical_failure_exit_3(tmp_path):
     )
     assert result.returncode == 3
     assert "numerical failure" in result.stderr
+
+
+def test_norm_drift_is_a_numerical_failure(monkeypatch, capsys, tmp_path):
+    exact = dynamics.evolve_amplitudes
+    monkeypatch.setattr(
+        dynamics, "evolve_amplitudes", lambda *args: (1.0 + 1e-6) * exact(*args)
+    )
+    system = dynamics.build_hamiltonian(4, 1.0)
+    with pytest.raises(NumericalError, match="lost normalization"):
+        dynamics.evolve(system, make_number_pair(0, 4), [0.0, 1.0])
+    out = tmp_path / "out.csv"
+    argv = ["dynamics", "--n", "4", "--g", "1", "--nl", "0", "--times", "0,1", "--output", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
 
 
 def test_config_file_supplies_flags(tmp_path):

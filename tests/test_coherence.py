@@ -22,7 +22,7 @@ from noon_coherence import (
     spread,
     to_density_matrix,
 )
-from noon_coherence import cli
+from noon_coherence import cli, coherence
 from noon_coherence.coherence import KERNEL_BYTES
 from noon_coherence.fock import FixedNState, TwoModeDensityMatrix
 from noon_coherence.states import (
@@ -88,6 +88,26 @@ def test_max_coherence_sum_matches_chain_eigenvalue():
 def test_numeric_oracle_agrees(n_tot, order):
     numeric = max_coherence_sum_numeric(n_tot, order, restarts=40)
     assert abs(numeric - max_coherence_sum(n_tot, order)) < 1e-6
+
+
+def test_numeric_oracle_is_independent(monkeypatch):
+    closed = max_coherence_sum(60, 2)
+
+    def forbidden(*args):
+        raise AssertionError("the oracle must not use the closed form")
+
+    monkeypatch.setattr(coherence, "max_coherence_sum", forbidden)
+    monkeypatch.setattr(coherence, "normalization", forbidden)
+    assert abs(coherence.max_coherence_sum_numeric(60, 2) - closed) < 1e-9
+
+
+@pytest.mark.parametrize("n_tot,order", [(100, 1), (100, 2), (100, 3), (120, 2)])
+def test_numeric_oracle_near_degenerate_chains(n_tot, order):
+    # Index chains of floor(N/n) + 1 and floor(N/n) nodes have top
+    # eigenvalues within ~1e-4 of each other, which a power step resolves
+    # only slowly.
+    numeric = max_coherence_sum_numeric(n_tot, order)
+    assert abs(numeric - max_coherence_sum(n_tot, order)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
