@@ -4,7 +4,10 @@ H = kappa (a^dag b + b^dag a) + (g/2)(a^dag^2 a^2 + b^dag^2 b^2) restricted to
 N total particles is a real symmetric tridiagonal matrix in the |N-m>_a|m>_b
 basis.  Evolution uses the cached eigendecomposition (spectral exponentials,
 no time stepping), which is exact up to the eigensolver and cheap for
-N <= 500.
+N <= 500.  ``evolve`` and ``evolve_amplitudes`` keep every eigenstate; the
+<J_Z>(t) scan behind ``tunnelling_period`` keeps only the eigenstates that
+carry the initial state, dropping a set whose combined overlap norm is at
+most machine epsilon, which moves <J_Z> by less than its rounding error.
 
 Time is measured in units of 1/kappa; kappa simply scales the tunnelling
 term and defaults to 1.
@@ -22,6 +25,7 @@ from .errors import NoOscillationError, NumericalError
 from .fock import FixedNState, ladder_coefficients
 
 DEGENERACY_FLOOR_ULPS = 64  # pair gaps below this many ulps of |H| are noise
+NORM_DRIFT_TOL = 1e-10  # largest |sum_m |d_m(t)|^2 - 1| an evolution may show
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,24 @@ class EvolutionTrace:
     t_n: "PeriodEstimate | None" = None
 
     def __post_init__(self):
-        norms = self.pm_distributions.sum(axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise NumericalError("evolution lost normalization beyond 1e-10")
+        _check_norm(self.pm_distributions)
         for arr in (self.times, self.amplitudes, self.pm_distributions, self.jz_mean):
             arr.setflags(write=False)
 
     def state_at(self, index: int) -> FixedNState:
         return FixedNState(self.amplitudes.shape[1] - 1, self.amplitudes[index])
+
+
+def _check_norm(pm: np.ndarray) -> None:
+    """Raise NumericalError when a row of |d_m(t)|^2 does not sum to 1."""
+    norms = pm.sum(axis=1)
+    if np.max(np.abs(norms - 1.0)) > NORM_DRIFT_TOL:
+        raise NumericalError(f"evolution lost normalization beyond {NORM_DRIFT_TOL:g}")
+
+
+def _jz_values(total_number: int) -> np.ndarray:
+    """J_Z = (N - 2m)/2 on the sector basis."""
+    return (total_number - 2.0 * np.arange(total_number + 1)) / 2.0
 
 
 def evolve_amplitudes(
@@ -108,8 +122,7 @@ def evolve(
     times = np.array(times, dtype=float)
     amps = evolve_amplitudes(system, initial, times)
     pm = np.abs(amps) ** 2
-    jz_values = (system.total_number - 2.0 * np.arange(system.total_number + 1)) / 2.0
-    jz = pm @ jz_values
+    jz = pm @ _jz_values(system.total_number)
     arrays = order_coherences(amps, orders)
     series = arrays.bound.T.copy()  # one contiguous row per order
     series.setflags(write=False)
@@ -146,13 +159,24 @@ def tunnelling_period(
     extremum of sign opposite to <J_Z>(0), refined by quadratic
     interpolation.  Raises NoOscillationError in regimes without resolvable
     two-state behavior (including splittings below float64 resolution).
+
+    The scan does not call ``evolve``.  With w = V^T d(0), the eigenstates
+    with the smallest |w_j| are dropped while their combined norm ||b||
+    stays <= machine epsilon (2.2e-16); the amplitude rows are built from
+    the kept columns only, V_keep (exp(-i E_keep t) w_keep).  Each dropped
+    row differs from the full one by a vector of norm ||b||, so <J_Z>(t)
+    moves by at most N ||b|| + (N/2) ||b||^2, below the rounding error of
+    the full sum; when nothing is dropped the arithmetic is that of
+    ``evolve``.  A row whose norm drifts from 1 by more than 1e-10 raises
+    NumericalError, as in ``evolve``.
     """
     if initial.total_number != system.total_number:
         raise ValueError("initial state does not match the system size")
     probs = initial.probabilities()
     if probs.max() < 1.0 - 1e-9:
         raise ValueError("tunnelling period needs an initial number state")
-    overlaps = np.abs(system.eigenvectors.T @ initial.amplitudes) ** 2
+    modal = system.eigenvectors.T @ initial.amplitudes
+    overlaps = np.abs(modal) ** 2
     scale = float(np.max(np.abs(system.eigenvalues)))
     floor = DEGENERACY_FLOOR_ULPS * np.finfo(float).eps * max(scale, 1.0)
 
@@ -178,8 +202,17 @@ def tunnelling_period(
         raise NoOscillationError("all relevant eigenstates are degenerate")
     window = window_halfperiods * np.pi / float(gaps.min())
     times = np.linspace(0.0, window, samples)
-    trace = evolve(system, initial, times)
-    jz = trace.jz_mean
+    # Drop the smallest overlaps while their combined norm stays <= eps.  The
+    # kept columns stay in eigenvalue order, so with nothing dropped the sums
+    # run as in evolve.
+    order = np.argsort(overlaps)
+    dropped = np.count_nonzero(np.cumsum(overlaps[order]) <= np.finfo(float).eps ** 2)
+    keep = np.sort(order[dropped:])
+    phases = np.exp(-1j * np.outer(system.eigenvalues[keep], times))
+    amps = (system.eigenvectors[:, keep] @ (phases * modal[keep, None])).T
+    pm = np.abs(amps) ** 2
+    _check_norm(pm)
+    jz = pm @ _jz_values(system.total_number)
     j0 = jz[0]
     if abs(j0) < 1e-9:
         raise NoOscillationError(
@@ -197,21 +230,17 @@ def tunnelling_period(
     lo, hi = width, samples - width
     interior = envelope[lo:hi]
     peak_floor = 0.5 * float(interior.max())
-    scanned = None
-    if peak_floor > 0:
-        for k in range(lo, hi):
-            if (
-                envelope[k] >= envelope[k - 1]
-                and envelope[k] >= envelope[k + 1]
-                and envelope[k] >= peak_floor
-            ):
-                scanned = _quadratic_vertex(times, envelope, k, width // 2)
-                break
-    if scanned is None:
+    peaks = np.flatnonzero(
+        (interior >= envelope[lo - 1 : hi - 1])
+        & (interior >= envelope[lo + 1 : hi + 1])
+        & (interior >= peak_floor)
+    )
+    if peak_floor <= 0 or peaks.size == 0:
         raise NoOscillationError(
             "no opposite-sign extremum of <J_Z>(t) within the scan window; "
             "the g/kappa regime shows no two-state transfer"
         )
+    scanned = _quadratic_vertex(times, envelope, lo + int(peaks[0]), width // 2)
     return PeriodEstimate(
         spectral=float(spectral),
         scanned=float(scanned),

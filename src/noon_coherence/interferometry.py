@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, NumericalError
 from .fock import (
     FixedNState,
     State,
@@ -29,7 +29,7 @@ from .fock import (
     moment,
     schwinger_moments,
 )
-from .tolerances import EQ_TOL
+from .tolerances import EQ_TOL, NORM_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,17 @@ def sector_unitary(total_number: int, u: np.ndarray) -> np.ndarray:
 
 
 def mode_transform(state: FixedNState, u: np.ndarray) -> FixedNState:
-    """Rewrite a fixed-N state in the modes (c, d) = U (a, b)."""
+    """Rewrite a fixed-N state in the modes (c, d) = U (a, b).
+
+    Raises NumericalError when the rotated norm drifts from the input's by
+    more than NORM_TOL.
+    """
     n_tot = state.total_number
-    return FixedNState(n_tot, sector_unitary(n_tot, u) @ state.amplitudes)
+    rotated = sector_unitary(n_tot, u) @ state.amplitudes
+    drift = np.vdot(rotated, rotated).real - np.vdot(state.amplitudes, state.amplitudes).real
+    if abs(drift) > NORM_TOL:
+        raise NumericalError(f"mode transform changed the state norm by {drift:.3e}")
+    return FixedNState(n_tot, rotated)
 
 
 def mode_transform_density(

@@ -6,7 +6,19 @@ from pathlib import Path
 import numpy as np
 
 import noon_coherence
-from noon_coherence import FixedNState, TwoModeDensityMatrix, normalization
+from noon_coherence import (
+    FixedNState,
+    NoOscillationError,
+    TwoModeDensityMatrix,
+    evolve,
+    normalization,
+)
+from noon_coherence.dynamics import (
+    DEGENERACY_FLOOR_ULPS,
+    JosephsonSystem,
+    PeriodEstimate,
+    _quadratic_vertex,
+)
 from noon_coherence.fock import annihilation_matrix, log_factorial
 
 
@@ -90,6 +102,52 @@ def reference_pure_catness(state: FixedNState, order: int, support_eps: float = 
     )
     scaled = np.sum(np.exp(log_mag[nz]) * phases) if np.any(nz) else 0.0
     return fidelity, float(norm * abs(scaled)), norm, log_s, (n_tot - order - m_best, m_best)
+
+
+def reference_tunnelling_period(
+    system: JosephsonSystem,
+    initial: FixedNState,
+    samples: int = 4096,
+    window_halfperiods: float = 10.0,
+    overlap_tol: float = 1e-6,
+) -> PeriodEstimate:
+    """The tunnelling period through ``evolve`` over every eigenstate, with a
+    sample-by-sample peak search: the reference for ``tunnelling_period``."""
+    overlaps = np.abs(system.eigenvectors.T @ initial.amplitudes) ** 2
+    scale = float(np.max(np.abs(system.eigenvalues)))
+    floor = DEGENERACY_FLOOR_ULPS * np.finfo(float).eps * max(scale, 1.0)
+    relevant = np.flatnonzero(overlaps > overlap_tol)
+    if relevant.size < 2:
+        raise NoOscillationError("single eigenstate")
+    top = relevant[np.argsort(overlaps[relevant])[::-1][:2]]
+    gap = float(abs(system.eigenvalues[top[0]] - system.eigenvalues[top[1]]))
+    if gap <= floor:
+        raise NoOscillationError("degenerate pair")
+    spectral = np.pi / gap
+    gaps = np.diff(np.sort(system.eigenvalues[relevant]))
+    gaps = gaps[gaps > floor]
+    if gaps.size == 0:
+        raise NoOscillationError("all degenerate")
+    times = np.linspace(0.0, window_halfperiods * np.pi / float(gaps.min()), samples)
+    jz = evolve(system, initial, times).jz_mean
+    if abs(jz[0]) < 1e-9:
+        raise NoOscillationError("<J_Z>(0) = 0")
+    width = max(3, samples // 32) | 1
+    envelope = np.convolve(-np.sign(jz[0]) * jz, np.ones(width) / width, mode="same")
+    lo, hi = width, samples - width
+    peak_floor = 0.5 * float(envelope[lo:hi].max())
+    if peak_floor > 0:
+        for k in range(lo, hi):
+            if (
+                envelope[k] >= envelope[k - 1]
+                and envelope[k] >= envelope[k + 1]
+                and envelope[k] >= peak_floor
+            ):
+                scanned = _quadratic_vertex(times, envelope, k, width // 2)
+                return PeriodEstimate(
+                    float(spectral), scanned, abs(spectral - scanned) / spectral
+                )
+    raise NoOscillationError("no opposite-sign extremum")
 
 
 def reference_spread(state: FixedNState, element_tol: float = 1e-12) -> int:

@@ -3,16 +3,22 @@ import pytest
 
 from noon_coherence import (
     NoOscillationError,
+    NumericalError,
     build_hamiltonian,
     catness_fidelity,
     evolve,
     tunnelling_period,
 )
-from noon_coherence.dynamics import evolve_amplitudes
+from noon_coherence import dynamics
+from noon_coherence.dynamics import JosephsonSystem, evolve_amplitudes
 from noon_coherence.fock import FixedNState
 from noon_coherence.states import make_binomial_splitter, make_number_pair
 
-from helpers import close, random_fixed_state
+from helpers import close, random_fixed_state, reference_tunnelling_period
+
+# (N, g, n_L): the Rabi case, the N = 5 golden, criterion 5, and two systems
+# where most eigenstates carry none of the initial state.
+PERIOD_CASES = [(1, 0.0, 1), (5, 10.0, 0), (20, 4.0, 4), (50, 20.0, 20), (100, 80.0, 46)]
 
 
 def test_hamiltonian_two_level():
@@ -120,6 +126,41 @@ def test_tunnelling_period_unresolvable_regime_fails():
     system = build_hamiltonian(100, nonlinearity=1.0)
     with pytest.raises(NoOscillationError):
         tunnelling_period(system, make_number_pair(0, 100))
+
+
+@pytest.mark.parametrize("n_tot, g, n_l", PERIOD_CASES)
+def test_tunnelling_period_matches_full_evolution(n_tot, g, n_l):
+    system = build_hamiltonian(n_tot, g)
+    initial = make_number_pair(n_l, n_tot)
+    period = tunnelling_period(system, initial)
+    reference = reference_tunnelling_period(system, initial)
+    assert period.spectral == reference.spectral
+    assert abs(period.scanned - reference.scanned) <= 1e-12 * reference.scanned
+
+
+def test_tunnelling_period_does_not_evolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the period scan must not build the full evolution")
+
+    monkeypatch.setattr(dynamics, "evolve", refuse)
+    monkeypatch.setattr(dynamics, "evolve_amplitudes", refuse)
+    system = build_hamiltonian(100, 80.0)
+    period = tunnelling_period(system, make_number_pair(46, 100))
+    assert period.relative_difference < 1e-2
+
+
+def test_tunnelling_period_detects_norm_drift():
+    # Eigenvectors that are no longer orthonormal make <J_Z>(t) rows lose
+    # their unit norm; the scan must refuse rather than report a period.
+    good = build_hamiltonian(20, 4.0)
+    rng = np.random.default_rng(71)
+    skewed = good.eigenvectors + 1e-3 * rng.normal(size=good.eigenvectors.shape)
+    system = JosephsonSystem(
+        20, good.coupling, good.nonlinearity, good.hamiltonian.copy(),
+        good.eigenvalues.copy(), skewed,
+    )
+    with pytest.raises(NumericalError):
+        tunnelling_period(system, make_number_pair(4, 20))
 
 
 def test_two_state_population_transfer():

@@ -3,6 +3,7 @@ import pytest
 
 from noon_coherence import (
     AliasingError,
+    NumericalError,
     binned_probability_scan,
     cross_moment,
     cross_moment_scan,
@@ -19,6 +20,7 @@ from noon_coherence import (
     schwinger_moments,
     to_density_matrix,
 )
+from noon_coherence import interferometry
 from noon_coherence.interferometry import QuadratureMoments, beam_splitter_matrix
 from noon_coherence.fock import FixedNState
 from noon_coherence.states import (
@@ -79,6 +81,17 @@ def test_mode_transform_degenerate_generators():
 def test_mode_transform_rejects_nonunitary():
     with pytest.raises(ValueError):
         mode_transform(make_noon(2), np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_mode_transform_norm_drift_is_numerical(monkeypatch):
+    # A sector matrix that does not preserve the norm is a numerical failure
+    # (exit 3), not invalid input (exit 2).
+    exact = interferometry.sector_unitary
+    monkeypatch.setattr(
+        interferometry, "sector_unitary", lambda n, u: 1.001 * exact(n, u)
+    )
+    with pytest.raises(NumericalError):
+        mode_transform(make_noon(6), beam_splitter_matrix(0.3))
 
 
 def test_density_rotation_matches_pure():
