@@ -14,8 +14,12 @@ chains linking the index classes {m, m+n, m+2n, ...}; its maximum over the
 unit sphere is half the top chain eigenvalue, giving the closed form
 cos(pi / (floor(N/n) + 2)).  ``max_coherence_sum_numeric`` checks that
 derivation independently: it maximizes the sum from seeded nonnegative starts
-by batched locally optimal Rayleigh-Ritz steps, applying A by shifted slices,
-without the chain decomposition or the cosine formula.
+by batched locally optimal Rayleigh-Ritz steps, without the chain
+decomposition, the cosine formula or an eigensolve of A.  A enters only
+through shifted slices; the 3x3 Ritz matrices are solved in closed form
+(trigonometric root of the characteristic cubic, eigenvector from the
+adjugate), and the seeded starts are drawn once per (seed, restarts) and
+sliced for each N.
 
 Pure fixed-N states go through one array kernel, ``order_coherences``: it
 takes a (T, N+1) block of amplitude rows and a set of orders and returns
@@ -73,6 +77,72 @@ def normalization(total_number: int, order: int) -> float:
     return 1.0 / max_coherence_sum(total_number, order)
 
 
+@lru_cache(maxsize=4)
+def _start_table(seed: int, restarts: int, width: int) -> np.ndarray:
+    """Row i holds default_rng(seed + i).random(width).  A generator's stream
+    does not depend on how many values are asked for, so its first d entries
+    are exactly default_rng(seed + i).random(d) for every d <= width."""
+    table = np.empty((restarts, width))
+    for i in range(restarts):
+        table[i] = np.random.default_rng(seed + i).random(width)
+    table.setflags(write=False)
+    return table
+
+
+def _seeded_starts(seed: int, restarts: int, dim: int) -> np.ndarray:
+    """Rows default_rng(seed + i).random(dim), i < restarts, sliced from the
+    cached table of the next power of two (at least 64) above dim."""
+    return _start_table(seed, restarts, max(64, 1 << (dim - 1).bit_length()))[:, :dim]
+
+
+# A top Ritz vector is read off the adjugate of H - lambda I only when its
+# largest row is at least this fraction of ||H - lambda I||_F^2, which holds
+# when the top eigenvalue is separated from the next by about this fraction
+# of the spectrum's width; the vector's error is then at most about
+# eps / RITZ_GAP^2.
+RITZ_GAP = 1e-3
+
+
+def _top_eigenvectors(h: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the largest eigenvalue of each matrix in a
+    (R, 3, 3) stack of real symmetric matrices, each up to sign.
+
+    The eigenvalue lambda is the largest root of the characteristic cubic in
+    its trigonometric form.  When it is simple, C = H - lambda I has rank 2
+    and adj(C) = mu_1 mu_2 v v^T, so every row of adj(C) (a cross product of
+    two rows of C) is parallel to the eigenvector v; the row with the largest
+    diagonal entry is the longest.  Rows of the stack where that row is
+    shorter than ``RITZ_GAP`` ||C||_F^2 (a repeated or nearly repeated top
+    eigenvalue) are solved by ``np.linalg.eigh`` instead.
+    """
+    count = len(h)
+    flat = h.reshape(count, 9)
+    q = flat[:, ::4].sum(axis=1) / 3.0
+    b = flat.copy()
+    b[:, ::4] -= q[:, None]
+    p = np.sqrt(np.einsum("rk,rk->r", b, b) / 6.0)
+    b00, b01, b02, _, b11, b12, _, _, b22 = b.T
+    det = b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)
+    # H = q I gives p = 0 and nan from here on; nan rows fail the check below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_cos = np.clip(det / (2.0 * p**3), -1.0, 1.0)
+        top = q + 2.0 * p * np.cos(np.arccos(half_cos) / 3.0)
+        c = flat.copy()
+        c[:, ::4] -= top[:, None]
+        # adj(C)[i, j] = C[i+1, j+1] C[i+2, j+2] - C[i+1, j+2] C[i+2, j+1],
+        # indices mod 3, on the row-major flattening of C.
+        adj = c[:, (4, 5, 3, 7, 8, 6, 1, 2, 0)] * c[:, (8, 6, 7, 2, 0, 1, 5, 3, 4)]
+        adj -= c[:, (5, 3, 4, 8, 6, 7, 2, 0, 1)] * c[:, (7, 8, 6, 1, 2, 0, 4, 5, 3)]
+        pick = np.argmax(adj[:, ::4], axis=1)
+        vectors = adj.reshape(count, 3, 3)[np.arange(count), pick]
+        size = np.einsum("rk,rk->r", vectors, vectors)
+        vectors /= np.sqrt(size)[:, None]
+        unsure = ~(size > (RITZ_GAP * np.einsum("rk,rk->r", c, c)) ** 2)
+    if unsure.any():
+        vectors[unsure] = np.linalg.eigh(h[unsure])[1][:, :, -1]
+    return vectors
+
+
 def max_coherence_sum_numeric(
     total_number: int,
     order: int,
@@ -85,66 +155,68 @@ def max_coherence_sum_numeric(
     """Numerically maximized coherence sum, independent of the closed form.
 
     The sum is (1/2) x^T A x over unit vectors x >= 0, with A[m, m+n] =
-    A[m+n, m] = 1; A is applied by shifted slices and never formed.  Each
-    restart starts from uniform random amplitudes seeded with seed + i and
-    climbs by locally optimal (LOBPCG-style) steps: the top Ritz vector of
-    A on span{x, A x - rho x, previous step}, mapped through |.|, which
-    keeps it feasible and cannot lower the sum because A >= 0.  All restarts
-    step together; the result is the best sum over the restarts, so it can
-    only grow with their number.  Iteration stops after ``stall_limit``
-    steps in a row each raise that best by less than ``stall_tol``.
+    A[m+n, m] = 1; A is applied by shifted slices and never formed.
+    Restart i starts from the N + 1 uniform random amplitudes of
+    ``default_rng(seed + i)``, sliced from a table drawn once per (seed,
+    restarts) and cached, and climbs by locally optimal (LOBPCG-style)
+    steps: the top Ritz vector of A on span{x, A x - rho x, previous step},
+    mapped through |.|, which keeps it feasible and cannot lower the sum
+    because A >= 0.  The 3x3 Ritz matrices B A B^T = S + S^T, with
+    S = B[:, :-n] B[:, n:]^T, come from shifted slices of the basis B, and
+    their top eigenvectors from the closed-form ``_top_eigenvectors``
+    rather than a general eigensolver.  All restarts step together; the
+    result is the best sum over the restarts, so it can only grow with their
+    number.  Iteration stops after ``stall_limit`` steps in a row each raise
+    that best by less than ``stall_tol``.
     """
     if not 1 <= order <= total_number:
         raise ValueError("order must lie in [1, total_number]")
     dim = total_number + 1
     n = order
 
-    def apply_a(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[..., n:] += v[..., :-n]
-        out[..., :-n] += v[..., n:]
-        return out
-
     def norm(v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("...i,...i->...", v, v))
 
-    x = np.empty((restarts, dim))
-    for i in range(restarts):
-        x[i] = np.random.default_rng(seed + i).random(dim)
-    x /= norm(x)[:, None]
-    step = np.zeros_like(x)
-    basis = np.empty((restarts, 3, dim))
+    x = _seeded_starts(seed, restarts, dim)
+    x = x / norm(x)[:, None]
+    # basis[k] holds direction k of every restart: x, the residual and the
+    # previous step (zero before the first).
+    basis = np.zeros((3, restarts, dim))
     diagonal = np.arange(3)
+    half_rho = np.einsum("ri,ri->r", x[:, :-n], x[:, n:])  # (1/2) x^T A x
     best = 0.0
     stall = 0
     for _ in range(max_iter):
-        ax = apply_a(x)
-        rho = np.einsum("ri,ri->r", x, ax)
-        basis[:, 0] = x
-        basis[:, 1] = ax - rho[:, None] * x
-        basis[:, 2] = step
+        ax = np.zeros_like(x)
+        ax[:, n:] += x[:, :-n]
+        ax[:, :-n] += x[:, n:]
+        basis[0] = x
+        basis[1] = ax - 2.0 * half_rho[:, None] * x
         # Gram-Schmidt, each vector projected twice; a direction with
         # nothing left beyond rounding (converged residual, collapsed
         # step) is zeroed and kept out of the Ritz problem below.
         dropped = np.zeros((restarts, 3), dtype=bool)
         for k in (1, 2):
-            size = norm(basis[:, k])
+            vec = basis[k]
+            size = norm(vec)
             for _pass in range(2):
-                coef = np.einsum("rki,ri->rk", basis[:, :k], basis[:, k])
-                basis[:, k] -= np.einsum("rk,rki->ri", coef, basis[:, :k])
-            left = norm(basis[:, k])
+                coef = np.einsum("kri,ri->kr", basis[:k], vec)
+                vec -= np.einsum("kr,kri->ri", coef, basis[:k])
+            left = norm(vec)
             dropped[:, k] = left <= 1e-10 * size
-            basis[:, k] /= np.where(dropped[:, k], np.inf, left)[:, None]
-        ritz = np.einsum("rki,rli->rkl", basis, apply_a(basis))
+            vec /= np.where(dropped[:, k], np.inf, left)[:, None]
+        # B A B^T = S + S^T with S = B[:, :-n] B[:, n:]^T per restart
+        ritz = np.matmul(basis[:, :, :-n].transpose(1, 0, 2), basis[:, :, n:].transpose(1, 2, 0))
+        ritz += ritz.transpose(0, 2, 1)
         # A zeroed direction has a zero row and column; -4 lies below the
         # spectrum of A (within [-2, 2]), so the top Ritz vector avoids it.
         ritz[:, diagonal, diagonal] -= 4.0 * dropped
-        _, vectors = np.linalg.eigh(ritz)
-        new = np.abs(np.einsum("rk,rki->ri", vectors[:, :, -1], basis))
+        new = np.abs(np.einsum("rk,kri->ri", _top_eigenvectors(ritz), basis))
         new /= norm(new)[:, None]
-        np.subtract(new, x, out=step)
+        np.subtract(new, x, out=basis[2])
         x = new
-        value = float(np.einsum("ri,ri->r", x[:, :-n], x[:, n:]).max())
+        half_rho = np.einsum("ri,ri->r", x[:, :-n], x[:, n:])
+        value = float(half_rho.max())
         if value - best < stall_tol:
             stall += 1
             if stall >= stall_limit:

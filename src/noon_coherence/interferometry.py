@@ -44,7 +44,13 @@ def beam_splitter_matrix(phi: float) -> np.ndarray:
 
 
 def _mode_generator(u: np.ndarray) -> np.ndarray:
-    """Hermitian K with U = exp(iK), from U = e^{i alpha} (cos t + i sin t n.sigma)."""
+    """Hermitian K with U = exp(iK), from U = e^{i alpha} (cos t + i sin t n.sigma).
+
+    Raises ValueError unless U is a 2x2 unitary matrix.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > EQ_TOL:
+        raise ValueError("mode transform must be a 2x2 unitary matrix")
     alpha = 0.5 * np.angle(np.linalg.det(u))
     v = u * np.exp(-1j * alpha)  # in SU(2)
     h = (v - v.conj().T) / 2j  # sin(t) n.sigma
@@ -60,19 +66,36 @@ def sector_unitary(total_number: int, u: np.ndarray) -> np.ndarray:
 
     Column m holds |N-m>_a |m>_b written in the |N-j>_c |j>_d basis.  With
     U = exp(iK) the map is exp(i sum_ij K_ij e_i^dag e_j), whose sector image
-    is tridiagonal; it is exponentiated through ``eigh``, so the result is
+    G is tridiagonal with a real diagonal.  When K_ab is real, G is real
+    symmetric; otherwise D^dag G D is, with D = diag(e^{-i m theta}) and
+    theta = arg K_ab.  That real matrix is exponentiated through a real
+    ``eigh``, V e^{iE} V^T, and conjugated back by D, so the result is
     unitary to rounding for any N.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > EQ_TOL:
-        raise ValueError("mode transform must be a 2x2 unitary matrix")
-    k = _mode_generator(u)
+    return _sector_exponential(total_number, _mode_generator(u))
+
+
+def _sector_exponential(total_number: int, k: np.ndarray) -> np.ndarray:
+    """exp(iG) for the sector image G of the mode generator K (see
+    ``sector_unitary``)."""
     m = np.arange(total_number + 1)
-    up = ladder_coefficients(total_number)
-    gen = np.diag(k[0, 0].real * (total_number - m) + k[1, 1].real * m).astype(complex)
-    gen += np.diag(k[0, 1] * up, 1) + np.diag(k[1, 0] * up, -1)
+    coupling = k[0, 1]
+    phase = None if coupling.imag == 0.0 else np.exp(-1j * np.angle(coupling) * m)  # diag D
+    off = (coupling.real if phase is None else abs(coupling)) * ladder_coefficients(total_number)
+    gen = np.diag(k[0, 0].real * (total_number - m) + k[1, 1].real * m)
+    gen[m[:-1], m[1:]] = off
+    gen[m[1:], m[:-1]] = off
     energies, vectors = np.linalg.eigh(gen)
-    return (vectors * np.exp(1j * energies)) @ vectors.conj().T
+    # e^{iE} V^T D^dag is complex and C-contiguous, so its float view holds
+    # the real and imaginary parts as interleaved columns: one real product
+    # with V gives the complex result, viewed back without a copy.
+    right = np.multiply(np.exp(1j * energies)[:, None], vectors.T, order="C")
+    if phase is not None:
+        right *= phase.conj()
+    rotation = (vectors @ right.view(float)).view(complex)
+    if phase is not None:
+        rotation *= phase[:, None]
+    return rotation
 
 
 def mode_transform(state: FixedNState, u: np.ndarray) -> FixedNState:
@@ -92,12 +115,22 @@ def mode_transform(state: FixedNState, u: np.ndarray) -> FixedNState:
 def mode_transform_density(
     rho: TwoModeDensityMatrix, u: np.ndarray
 ) -> TwoModeDensityMatrix:
-    """Apply the mode map to a density matrix, one sector block at a time."""
+    """Apply the mode map to a density matrix, one sector block at a time.
+
+    Raises NumericalError when a rotated block's trace drifts from the
+    input's by more than NORM_TOL.
+    """
+    k = _mode_generator(u)
     blocks = []
     for total, block in enumerate(rho.blocks):
-        rotation = sector_unitary(total, u)
-        block = rotation @ block @ rotation.conj().T
-        blocks.append((block + block.conj().T) / 2.0)
+        rotation = _sector_exponential(total, k)
+        rotated = rotation @ block @ rotation.conj().T
+        drift = (rotated.trace() - block.trace()).real
+        if abs(drift) > NORM_TOL:
+            raise NumericalError(
+                f"mode transform changed the trace of sector N={total} by {drift:.3e}"
+            )
+        blocks.append((rotated + rotated.conj().T) / 2.0)
     return TwoModeDensityMatrix._from_blocks(rho.cutoff, blocks)
 
 

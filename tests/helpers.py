@@ -19,7 +19,8 @@ from noon_coherence.dynamics import (
     PeriodEstimate,
     _quadratic_vertex,
 )
-from noon_coherence.fock import annihilation_matrix, log_factorial
+from noon_coherence.fock import annihilation_matrix, ladder_coefficients, log_factorial
+from noon_coherence.interferometry import _mode_generator
 
 
 def random_fixed_state(total_number: int, rng: np.random.Generator) -> FixedNState:
@@ -148,6 +149,19 @@ def reference_tunnelling_period(
                     float(spectral), scanned, abs(spectral - scanned) / spectral
                 )
     raise NoOscillationError("no opposite-sign extremum")
+
+
+def reference_sector_unitary(total_number: int, u: np.ndarray) -> np.ndarray:
+    """exp(i G) with G the complex Hermitian tridiagonal sector generator of
+    U = exp(iK), through a complex ``eigh``: the reference for
+    ``sector_unitary``."""
+    k = _mode_generator(u)
+    m = np.arange(total_number + 1)
+    up = ladder_coefficients(total_number)
+    gen = np.diag(k[0, 0].real * (total_number - m) + k[1, 1].real * m).astype(complex)
+    gen += np.diag(k[0, 1] * up, 1) + np.diag(k[1, 0] * up, -1)
+    energies, vectors = np.linalg.eigh(gen)
+    return (vectors * np.exp(1j * energies)) @ vectors.conj().T
 
 
 def reference_spread(state: FixedNState, element_tol: float = 1e-12) -> int:

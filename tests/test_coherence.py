@@ -101,6 +101,44 @@ def test_numeric_oracle_is_independent(monkeypatch):
     assert abs(coherence.max_coherence_sum_numeric(60, 2) - closed) < 1e-9
 
 
+def test_oracle_starts_are_the_seeded_streams():
+    # Every cached start equals a fresh draw bit for bit, also once a table
+    # for a larger size has been drawn as well.
+    seed, restarts = 1234, 200
+    fresh = [
+        [np.random.default_rng(seed + i).random(dim) for i in range(restarts)]
+        for dim in range(2, 62)
+    ]
+    for larger in (None, 300):
+        if larger is not None:
+            wide = coherence._seeded_starts(seed, restarts, larger)
+            for i in range(restarts):
+                assert np.array_equal(wide[i], np.random.default_rng(seed + i).random(larger))
+        for dim, rows in zip(range(2, 62), fresh):
+            starts = coherence._seeded_starts(seed, restarts, dim)
+            assert starts.shape == (restarts, dim)
+            assert np.array_equal(starts, np.array(rows))
+
+
+def test_top_ritz_vectors_match_eigh():
+    rng = np.random.default_rng(91)
+    spread = rng.normal(size=(300, 3, 3))
+    stack = spread + spread.transpose(0, 2, 1)
+    # dropped directions: a zero row and column with -4 on the diagonal
+    stack[100:200, 2, :] = stack[100:200, :, 2] = 0.0
+    stack[100:200, 2, 2] = -4.0
+    stack[150:200, 1, :] = stack[150:200, :, 1] = 0.0
+    stack[150:200, 1, 1] = -4.0
+    # a repeated top eigenvalue
+    basis = np.linalg.qr(rng.normal(size=(50, 3, 3)))[0]
+    levels = np.array([1.0, 1.0, rng.uniform(-2.0, 0.5)])
+    stack[200:250] = (basis * levels) @ basis.transpose(0, 2, 1)
+    got = coherence._top_eigenvectors(stack)
+    want = np.linalg.eigh(stack)[1][:, :, -1]
+    signs = np.where(np.einsum("rk,rk->r", got, want) < 0.0, -1.0, 1.0)
+    assert np.max(np.abs(got * signs[:, None] - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("n_tot,order", [(100, 1), (100, 2), (100, 3), (120, 2)])
 def test_numeric_oracle_near_degenerate_chains(n_tot, order):
     # Index chains of floor(N/n) + 1 and floor(N/n) nodes have top

@@ -30,7 +30,9 @@ from noon_coherence.states import (
     make_number_pair,
 )
 
-from helpers import close, random_fixed_state, random_mixture
+from noon_coherence.tolerances import EQ_TOL
+
+from helpers import close, random_fixed_state, random_mixture, reference_sector_unitary
 
 
 def test_rotate_single_photon():
@@ -92,6 +94,59 @@ def test_mode_transform_norm_drift_is_numerical(monkeypatch):
     )
     with pytest.raises(NumericalError):
         mode_transform(make_noon(6), beam_splitter_matrix(0.3))
+
+
+def test_mode_transform_density_norm_drift_is_numerical(monkeypatch):
+    # A rotated sector block whose trace drifts is a numerical failure
+    # (exit 3), not a density matrix rejected as invalid input (exit 2).
+    exact = interferometry._sector_exponential
+    monkeypatch.setattr(
+        interferometry, "_sector_exponential", lambda n, k: 1.001 * exact(n, k)
+    )
+    with pytest.raises(NumericalError):
+        mode_transform_density(to_density_matrix(make_noon(6)), beam_splitter_matrix(0.3))
+
+
+def _unitary_from_generator(rng, coupling):
+    """exp(iK) for K = [[a, c], [conj c, b]] with a, b seeded.  The eigenvalue
+    spread of K stays below 2 pi and its mean within (-pi/2, pi/2), so
+    ``_mode_generator`` recovers K.  For a real c, exp(iK) is symmetric; it
+    is symmetrized so that the recovered K_ab is exactly real."""
+    a, b = rng.uniform(-0.5, 0.5, size=2)
+    k = np.array([[a, coupling], [np.conj(coupling), b]])
+    energies, vectors = np.linalg.eigh(k)
+    u = (vectors * np.exp(1j * energies)) @ vectors.conj().T
+    return (u + u.T) / 2.0 if np.isrealobj(coupling) else u
+
+
+@pytest.mark.parametrize("n_tot", [1, 20, 100, 500])
+@pytest.mark.parametrize("kind", ["real positive", "real negative", "complex"])
+def test_sector_unitary_matches_complex_reference(n_tot, kind):
+    rng = np.random.default_rng(1000 + n_tot)
+    size = rng.uniform(0.2, 1.4)
+    coupling = {
+        "real positive": size,
+        "real negative": -size,
+        "complex": size * np.exp(1j * rng.uniform(0.1, 3.0)),
+    }[kind]
+    u = _unitary_from_generator(rng, coupling)
+    k_ab = interferometry._mode_generator(u)[0, 1]
+    assert (k_ab.imag == 0.0) == (kind != "complex")
+    assert abs(k_ab - coupling) < 1e-12
+    got = interferometry.sector_unitary(n_tot, u)
+    assert np.max(np.abs(got - reference_sector_unitary(n_tot, u))) <= EQ_TOL
+
+
+@pytest.mark.parametrize("n_tot", [100, 500])
+def test_sector_unitary_invariants_at_scale(n_tot):
+    rng = np.random.default_rng(77 + n_tot)
+    coupling = rng.uniform(0.2, 1.4) * np.exp(1j * rng.uniform(0.1, 3.0))
+    eye = np.eye(n_tot + 1)
+    for u in (_unitary_from_generator(rng, coupling), beam_splitter_matrix(0.0)):
+        rotation = interferometry.sector_unitary(n_tot, u)
+        inverse = interferometry.sector_unitary(n_tot, u.conj().T)
+        assert np.max(np.abs(rotation @ rotation.conj().T - eye)) <= EQ_TOL
+        assert np.max(np.abs(inverse @ rotation - eye)) <= EQ_TOL
 
 
 def test_density_rotation_matches_pure():
