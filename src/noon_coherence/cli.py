@@ -245,9 +245,11 @@ def cmd_splitter(args: argparse.Namespace) -> int:
     etas = [float(tok) for tok in str(args.eta).split(",") if tok.strip()]
     if any(not 0.0 <= e <= 1.0 for e in etas):
         raise ValueError("eta values must lie in [0, 1]")
-    # Equal loss on both modes leaves S and the normalization unchanged and
-    # scales the order-n bound by eta^n (verified against the Kraus channel
-    # in the tests).
+    # Each row is eta^n times the lossless c_n.  That equals the lossy
+    # state's c_n only while eta^N min_m P(m) stays above SUPPORT_EPS, which
+    # keeps S and the normalization unchanged.  At eta = 0.8 it holds for
+    # N = 20, where the two agree to 4e-15; at N = 30 and 40 the lossy c_n
+    # is 0 to 14 and 0 to 23 times this value.
     rows = []
     for entry in report.orders:
         for e in etas:

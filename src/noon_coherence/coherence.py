@@ -21,15 +21,20 @@ through shifted slices; the 3x3 Ritz matrices are solved in closed form
 adjugate), and the seeded starts are drawn once per (seed, restarts) and
 sliced for each N.
 
-Pure fixed-N states go through one array kernel, ``order_coherences``: it
-takes a (T, N+1) block of amplitude rows and a set of orders and returns
-C_n, S and c_n for every (row, order).  The pairs (d_m, d_{m+n}) are strided
-views of the rows, the factorial weights B_m come from a log table built on
-the first use of each N and cached, and S is a masked argmax.
-``catness_fidelity`` (one row, one order), ``coherence_report`` (one row,
-all orders) and ``dynamics.evolve`` (T rows) all call it.  Reports hold
-per-order scalars; the element lists are built only by
-``CoherenceReport.to_json`` and ``coherence_spectrum``.
+Pure and mixed states go through one array kernel, ``order_coherences``: it
+takes a (T, N+1) block of amplitude rows, or a density matrix as one row, and
+a set of orders, and returns C_n, S and c_n for every (row, order).  Both
+forms feed one core with the order-n pairs of each row laid out (rows,
+orders, pairs): magnitudes, log magnitudes, unit phases, a support mask and
+the log factorial weights B.  Pure pairs (d_m, d_{m+n}) are strided views of
+the rows, with B_m from a log table built on the first use of each N and
+cached; a density matrix's pairs are the order-n subdiagonals of its sector
+blocks, each with its own B.  S is one masked argmax over a row's pairs, and
+an order without a supported pair gives c_n = 0 with nan S in both forms.
+``catness_fidelity`` (one state, one order), ``s_factor``,
+``coherence_report`` (one state, all orders) and ``dynamics.evolve`` (T
+rows) all call it.  Reports hold per-order scalars; the element lists are
+built only by ``CoherenceReport.to_json`` and ``coherence_spectrum``.
 """
 
 from __future__ import annotations
@@ -39,14 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    FixedNState,
-    OperatorMonomial,
-    State,
-    TwoModeDensityMatrix,
-    log_factorial,
-    moment,
-)
+from .fock import FixedNState, State, TwoModeDensityMatrix, log_factorial
 from .tolerances import ELEMENT_TOL, SUPPORT_EPS
 
 
@@ -311,14 +309,23 @@ def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the order kernel: C_n, S and c_n of amplitude rows over many orders
+# the order kernel: C_n, S and c_n of pure rows and density matrices
 # ---------------------------------------------------------------------------
 
-# Bytes the kernel's temporaries may hold at once: rows are processed in
-# chunks sized to this (one row at least), whatever the number of rows.
+# Bytes the kernel's temporaries may hold at once, whatever the number of
+# rows and orders.
 KERNEL_BYTES = 32 * 2**20
-# Upper bound on the live temporary bytes per (row, order, m) element.
-_ELEMENT_BYTES = 40
+# Upper bound on the live temporary bytes per (row, order, pair) element:
+# about 45 for pure rows and 61 for a density matrix, whose pairs also carry
+# their own log B.
+_ELEMENT_BYTES = 64
+# Elements per call of the core (one row and one order at least): a quarter
+# of the budget.  Larger calls ran slower, as each one's temporaries landed
+# on fresh pages: all orders of one N = 500 row took 9.8 ms in one call
+# against 6.1 ms in calls of 2^17 elements, and a cutoff-100 density report
+# 43 ms in calls of 2^19 against 12-18 ms in calls of 2^15-2^17 (2-core
+# Xeon VM, numpy 2.4).
+_CHUNK = KERNEL_BYTES // (4 * _ELEMENT_BYTES)
 
 
 @lru_cache(maxsize=8)
@@ -354,21 +361,33 @@ def _partners(values: np.ndarray, orders: np.ndarray, fill) -> np.ndarray:
     return windows[:, orders]
 
 
+def _polar(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|v|, log |v| (-inf at 0) and the unit phase v / |v|, 0 where |v| is 0
+    or subnormal: complex division by a subnormal |v| overflows to inf or
+    nan, and a term that small cannot move c_n."""
+    mag = np.abs(values)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag)
+    normal = mag >= np.finfo(float).tiny
+    return mag, log_mag, np.divide(values, mag, out=np.zeros_like(values), where=normal)
+
+
 @dataclass(frozen=True)
 class OrderArrays:
-    """C_n, c_n and S of fixed-N amplitude rows (axis 0) at each order (axis 1).
+    """C_n, c_n and S of states (axis 0) at each order (axis 1).
 
-    Orders above N give C_n = c_n = 0 with nan normalization and S; rows and
-    orders without a supported pair give c_n = 0, nan S and ``s_m`` = -1.
+    Orders above a state's largest (supported) total number give C_n = c_n
+    = 0 with nan normalization and S; rows and orders without a supported
+    pair give c_n = 0, nan S and ``s_left`` = ``s_m`` = -1.
     """
 
-    total_number: int
     orders: np.ndarray  # (K,)
     norm: np.ndarray  # (K,)
     fidelity: np.ndarray  # C_n
     bound: np.ndarray  # c_n
     s_log: np.ndarray  # log S
-    s_m: np.ndarray  # m' of the pair (n', m') = (N - n - m', m') attaining S
+    s_left: np.ndarray  # n' of the pair (n', m') attaining S
+    s_m: np.ndarray  # m' of that pair
 
     def entries(self, row: int = 0) -> tuple[OrderCoherence, ...]:
         """The per-order results of one row."""
@@ -381,99 +400,169 @@ class OrderArrays:
             self.norm.tolist(),
             s_value.tolist(),
             self.s_log[row].tolist(),
+            self.s_left[row].tolist(),
             self.s_m[row].tolist(),
         )
-        n_tot = self.total_number
         return tuple(
-            OrderCoherence(n, big, small, norm, s, log_s, (n_tot - n - m, m) if m >= 0 else None)
-            for n, big, small, norm, s, log_s, m in columns
+            OrderCoherence(n, big, small, norm, s, log_s, (left, m) if m >= 0 else None)
+            for n, big, small, norm, s, log_s, left, m in columns
         )
 
 
-def order_coherences(
-    amplitudes, orders, support_eps: float = SUPPORT_EPS
-) -> OrderArrays:
-    """C_n, S and c_n of a (T, N+1) block of amplitude rows at every order.
+def order_coherences(rows, orders, support_eps: float = SUPPORT_EPS) -> OrderArrays:
+    """C_n, S and c_n of pure or mixed states at every order.
 
-    Per row and order n, with pairs (d_m, d_{m+n}) for m = 0..N-n:
-    C_n = N_{n,N} sum_m |d_m| |d_{m+n}|; S = max B_m over the supported
-    pairs (both probabilities above ``support_eps``, first m on ties); and
-    c_n = N_{n,N} |sum_m d_m conj(d_{m+n}) B_m / S| over every pair with a
-    nonzero product, each term formed from log magnitudes so that B_m, which
-    overflows float64 at large N, never appears on its own.  The pairs are
-    strided views of the rows; B_m comes from a table cached per N.  Rows are
-    taken in chunks so the temporaries stay within ``KERNEL_BYTES``.
+    ``rows`` is a (T, N+1) block of amplitude rows, one amplitude row, a
+    ``FixedNState`` or a ``TwoModeDensityMatrix``; a state is one row.  Both
+    forms go through one core.  At order n a state's pairs are the order-n
+    coherence elements <n', m'+n| rho |n'+n, m'> of every sector N' = n' +
+    m' + n, each with the factorial weight B = sqrt((m'+n)!/m'! (n'+n)!/n'!);
+    a pure row has one sector, N, and the products d_m conj(d_{m+n}).  Then
+    C_n = N_{n} sum |pair|; S = max B over the supported pairs (both
+    populations above ``support_eps``, first pair on ties); and c_n = N_{n}
+    |sum pair B / S| over every pair with a nonzero element, each term formed
+    from log magnitudes so that B, which overflows float64 at large N, never
+    appears on its own.  A row or order without a supported pair has c_n = 0:
+    0 is a valid lower bound.  N_{n} is ``normalization(N, n)``; a density
+    matrix uses its largest supported total number for N, and orders above
+    that N give zeros.
+
+    Pure pairs are strided views of the rows, with B from a table cached per
+    N; density pairs are the block subdiagonals that ``coherences`` gathers,
+    with B per pair.  Rows and orders are taken in chunks so the temporaries
+    stay within ``KERNEL_BYTES``.
     """
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim == 1:
-        amps = amps[None, :]
-    rows, dim = amps.shape
-    n_tot = dim - 1
     orders = np.fromiter(orders, dtype=int)
     if orders.size and orders.min() < 1:
         raise ValueError("order must be >= 1")
-    shape = (rows, orders.size)
+    if isinstance(rows, FixedNState):
+        rows = rows.amplitudes
+    density = isinstance(rows, TwoModeDensityMatrix)
+    if not density:
+        rows = np.asarray(rows, dtype=complex)
+        rows = rows[None, :] if rows.ndim == 1 else rows
+    shape = (1 if density else len(rows), orders.size)
     result = OrderArrays(
-        n_tot,
         orders,
         np.full(orders.size, np.nan),
         np.zeros(shape),
         np.zeros(shape),
         np.full(shape, np.nan),
         np.full(shape, -1),
+        np.full(shape, -1),
     )
-    live = np.flatnonzero(orders <= n_tot)
-    if not live.size or not rows:
-        return result
-    log_b_all, norms = _order_tables(n_tot)
-    picked = orders[live]
-    norm = norms[picked]
-    result.norm[live] = norm
-    log_b = log_b_all[picked]
-    chunk = max(1, KERNEL_BYTES // (_ELEMENT_BYTES * picked.size * dim))
-    for start in range(0, rows, chunk):
-        block = slice(start, start + chunk)
-        fidelity, bound, s_log, s_m = _order_rows(amps[block], picked, log_b, norm, support_eps)
-        result.fidelity[block, live] = fidelity
-        result.bound[block, live] = bound
-        result.s_log[block, live] = s_log
-        result.s_m[block, live] = s_m
+    (_density_orders if density else _pure_orders)(result, rows, support_eps)
     return result
 
 
-def _order_rows(amps, orders, log_b, norm, support_eps):
-    mag = np.abs(amps)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(mag)
-    unit = np.divide(amps, mag, out=np.zeros_like(amps), where=mag > 0)
-    held = mag**2 > support_eps
+def _pure_orders(result: OrderArrays, amps: np.ndarray, support_eps: float) -> None:
+    rows, dim = amps.shape
+    n_tot = dim - 1
+    live = np.flatnonzero(result.orders <= n_tot)
+    if not live.size or not rows:
+        return
+    log_b_all, norms = _order_tables(n_tot)
+    result.norm[live] = norms[result.orders[live]]
+    order_step = max(1, min(live.size, _CHUNK // dim))
+    row_step = max(1, _CHUNK // (order_step * dim))
+    for first in range(0, live.size, order_step):
+        cols = live[first : first + order_step]
+        picked = result.orders[cols]
+        log_b, norm = log_b_all[picked], norms[picked]
+        for start in range(0, rows, row_step):
+            block = slice(start, start + row_step)
+            mag, log_mag, unit = _polar(amps[block])
+            held = mag**2 > support_eps
+            fidelity, bound, s_log, s_m = _order_core(
+                mag[:, None, :] * _partners(mag, picked, 0.0),
+                log_mag[:, None, :] + _partners(log_mag, picked, -np.inf),
+                unit[:, None, :] * _partners(unit.conj(), picked, 0.0),
+                held[:, None, :] & _partners(held, picked, False),
+                log_b,
+                norm,
+            )
+            result.fidelity[block, cols], result.bound[block, cols] = fidelity, bound
+            result.s_log[block, cols], result.s_m[block, cols] = s_log, s_m
+            result.s_left[block, cols] = np.where(s_m >= 0, n_tot - picked - s_m, -1)
 
-    pair = mag[:, None, :] * _partners(mag, orders, 0.0)
+
+def _density_orders(result: OrderArrays, rho: TwoModeDensityMatrix, support_eps: float) -> None:
+    n_eff = rho.max_supported_total(support_eps)
+    live = np.flatnonzero(result.orders <= n_eff)
+    if not live.size:
+        return
+    live = live[np.argsort(result.orders[live], kind="stable")]
+    picked = result.orders[live]  # ascending
+    norm = result.norm[live] = np.array([normalization(n_eff, n) for n in picked.tolist()])
+    side = rho.cutoff + 1
+    held = (rho.diagonal_probabilities() > support_eps).ravel()  # [n_a * side + n_b]
+    log_fact = log_factorial(np.arange(side))
+    # ``coherences(n)`` lists the pairs with n' + m' <= cutoff - n in an order
+    # that does not depend on n, so each order's (n', m') are a prefix of the
+    # lowest order's, and one table serves every order.
+    left, right, _ = rho.coherences(int(picked[0]))
+    start = 0
+    while start < picked.size:
+        # a chunk is padded to the pair count of its first (lowest) order
+        width = (side - picked[start]) * (side - picked[start] + 1) // 2
+        block = slice(start, start + max(1, _CHUNK // width))
+        start = block.stop
+        n_l, m_r = left[:width], right[:width]
+        fidelity, bound, s_log, s_index = _order_core(
+            *_density_pairs(rho, picked[block], n_l, m_r, held, log_fact), norm[block]
+        )
+        cols = live[block]
+        result.fidelity[:, cols], result.bound[:, cols] = fidelity, bound
+        result.s_log[:, cols] = s_log
+        result.s_left[:, cols] = np.where(s_index >= 0, n_l[s_index], -1)
+        result.s_m[:, cols] = np.where(s_index >= 0, m_r[s_index], -1)
+
+
+def _density_pairs(rho, orders, n_l, m_r, held, log_fact):
+    """The core's pair arrays (all but the normalization) of a density matrix
+    at ``orders``: order n takes the first pairs (n_l, m_r) with n_l + m_r <=
+    cutoff - n, and the rest of its row is padding."""
+    side = rho.cutoff + 1
+    values = np.zeros((1, orders.size, n_l.size), dtype=complex)
+    for k, n in enumerate(orders.tolist()):
+        part = rho.coherences(n)[2]
+        values[0, k, : part.size] = part
+    # each pair's order, or 0 on padding, which keeps the indices in range
+    n = np.where(n_l + m_r + orders[:, None] < side, orders[:, None], 0)
+    flat = n_l * side + m_r
+    supported = (n > 0) & held[flat + n] & held[flat + n * side]
+    log_b = 0.5 * (log_fact[m_r + n] - log_fact[m_r] + log_fact[n_l + n] - log_fact[n_l])
+    del n
+    return (*_polar(values), supported[None], log_b)
+
+
+def _order_core(pair, log_pair, phase, supported, log_b, norm):
+    """C_n, c_n, log S and the position of S's pair (-1 without support) from
+    the order-n pairs laid out (rows, orders, pairs): magnitudes, log
+    magnitudes, unit phases and support mask, with log B as (orders, pairs)
+    and the normalization per order.  Padding pairs have magnitude 0 and no
+    support.  ``pair``, ``log_pair`` and ``phase`` are overwritten."""
     fidelity = norm * pair.sum(axis=-1)
     no_product = pair == 0
-    del pair
-
-    supported = held[:, None, :] & _partners(held, orders, False)
-    masked = np.where(supported, log_b, -np.inf)
-    del supported
-    s_m = np.argmax(masked, axis=-1)
-    s_log = np.take_along_axis(masked, s_m[..., None], axis=-1)[..., 0]
+    masked = pair  # log B where supported, -inf elsewhere
+    masked.fill(-np.inf)
+    np.copyto(masked, log_b, where=supported)
+    s_index = np.argmax(masked, axis=-1)
+    s_log = np.take_along_axis(masked, s_index[..., None], axis=-1)[..., 0]
     del masked
     found = s_log > -np.inf
-    # Every pair enters the sum, the unsupported ones with weights B_m / S
+    # Every pair enters the sum, the unsupported ones with weights B / S
     # that may exceed 1.  A certified c_n would take the summed ``weight``
     # of the pairs where ``supported`` is false off |sum| before scaling.
     # Without support S = +inf, which zeroes every weight and so c_n.
-    weight = log_mag[:, None, :] + _partners(log_mag, orders, -np.inf)
+    weight = log_pair
     weight += log_b
     weight -= np.where(found, s_log, np.inf)[..., None]
     np.exp(weight, out=weight)
     np.copyto(weight, 0.0, where=no_product)  # products that underflow to 0 are left out
-    terms = unit[:, None, :] * _partners(unit.conj(), orders, 0.0)
-    terms *= weight
-    del weight
-    bound = norm * np.abs(terms.sum(axis=-1))
-    return fidelity, bound, np.where(found, s_log, np.nan), np.where(found, s_m, -1)
+    phase *= weight
+    bound = norm * np.abs(phase.sum(axis=-1))
+    return fidelity, bound, np.where(found, s_log, np.nan), np.where(found, s_index, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -494,45 +583,21 @@ class SFactor:
         return self.pair[1]
 
 
-def _no_support(order: int, support_eps: float) -> ValueError:
-    return ValueError(
-        f"no supported mode-number pair at order {order} (support_eps={support_eps:g})"
-    )
-
-
 def s_factor(state: State, order: int, support_eps: float = SUPPORT_EPS) -> SFactor:
     """S = sup over supported (n', m') of sqrt((m'+n)!/m'!) sqrt((n'+n)!/n'!).
 
     A pair counts as supported when both linked occupation probabilities
-    P(n', m'+n) and P(n'+n, m') exceed ``support_eps``.  Raises ValueError
-    when no pair is supported at that threshold.
+    P(n', m'+n) and P(n'+n, m') exceed ``support_eps``.  Read from the order
+    kernel, as ``catness_fidelity`` is; raises ValueError when no pair is
+    supported at that threshold, as at every order above the largest
+    (supported) total number.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if isinstance(state, FixedNState):
-        if order > state.total_number:
-            raise ValueError("order exceeds the total particle number")
-        (entry,) = order_coherences(state.amplitudes, (order,), support_eps).entries()
-        if entry.s_pair is None:
-            raise _no_support(order, support_eps)
-        return SFactor(entry.s_value, entry.s_log, entry.s_pair)
-    probs = state.diagonal_probabilities()
-    span = max(state.cutoff - order + 1, 0)
-    # supported[n', m']: P(n', m'+n) and P(n'+n, m') both above support_eps
-    supported = (probs[:span, order:] > support_eps) & (probs[order:, :span] > support_eps)
-    if not np.any(supported):
-        raise _no_support(order, support_eps)
-    n_left, m_right = np.indices(supported.shape)
-    log_w = 0.5 * (
-        log_factorial(m_right + order)
-        - log_factorial(m_right)
-        + log_factorial(n_left + order)
-        - log_factorial(n_left)
-    )
-    best = np.unravel_index(np.argmax(np.where(supported, log_w, -np.inf)), log_w.shape)
-    best_log = float(log_w[best])
-    pair = (int(best[0]), int(best[1]))
-    return SFactor(value=float(np.exp(best_log)), log_value=best_log, pair=pair)
+    entry = catness_fidelity(state, order, support_eps)
+    if entry.s_pair is None:
+        raise ValueError(
+            f"no supported mode-number pair at order {order} (support_eps={support_eps:g})"
+        )
+    return SFactor(entry.s_value, entry.s_log, entry.s_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -553,51 +618,19 @@ class OrderCoherence:
     s_pair: tuple[int, int] | None
 
 
-def _zero_order(order: int) -> OrderCoherence:
-    return OrderCoherence(order, 0.0, 0.0, float("nan"), float("nan"), float("nan"), None)
-
-
 def catness_fidelity(
     state: State, order: int, support_eps: float = SUPPORT_EPS
 ) -> OrderCoherence:
-    """C_n and c_n of a state at the given coherence order.
+    """C_n and c_n of a pure or mixed state at the given coherence order: one
+    column of ``order_coherences``, whose core serves both forms.
 
-    For pure fixed-N states C_n is exact; for mixed states the spectrum sum is
+    For pure fixed-N states C_n is exact; for mixed states the element sum is
     normalized with the fixed-N constant of the largest supported total
     number (see coherence_report, which flags this choice).  The bound is
-    evaluated term-by-term relative to S in log space, so it stays finite for
-    N up to several hundred.
+    evaluated term by term relative to S in log space, so it stays finite for
+    N up to several hundred; without a supported pair it is 0.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if isinstance(state, FixedNState):
-        return order_coherences(state.amplitudes, (order,), support_eps).entries()[0]
-    return _density_catness(state, order, support_eps)
-
-
-def _density_catness(
-    state: TwoModeDensityMatrix, order: int, support_eps: float
-) -> OrderCoherence:
-    n_eff = state.max_supported_total(support_eps)
-    if order > n_eff:
-        return _zero_order(order)
-    norm = normalization(n_eff, order)
-    mags = 2.0 * np.abs(state.coherences(order)[2])
-    fidelity = float(norm * mags[mags > ELEMENT_TOL].sum() / 2.0)
-    mom = moment(state, OperatorMonomial.cross(order))
-    try:
-        s = s_factor(state, order, support_eps)
-    except ValueError:
-        if abs(mom) <= ELEMENT_TOL:
-            return OrderCoherence(order, fidelity, 0.0, norm, float("nan"), float("nan"), None)
-        raise ValueError(
-            f"order-{order} moment is nonzero but no mode-number pair is "
-            f"supported at support_eps={support_eps:g}; lower the threshold"
-        )
-    bound = 0.0
-    if abs(mom) > 0.0:
-        bound = float(norm * np.exp(np.log(abs(mom)) - s.log_value))
-    return OrderCoherence(order, fidelity, bound, norm, s.value, s.log_value, s.pair)
+    return order_coherences(state, (order,), support_eps).entries()[0]
 
 
 def corrected_lower_bound(
@@ -673,20 +706,18 @@ def coherence_report(
     orders=None,
     support_eps: float = SUPPORT_EPS,
 ) -> CoherenceReport:
-    """Coherence summary over the requested orders (default: all resolvable).
+    """Coherence summary over the requested orders (default: all resolvable),
+    from one ``order_coherences`` call for pure and mixed states alike.
 
     For density matrices the normalization uses the fixed-N constant at the
     largest supported total number; ``fixed_total`` is None in that case to
     flag the convention.
     """
     if isinstance(state, FixedNState):
-        fixed_total = state.total_number
-        if orders is None:
-            orders = range(1, fixed_total + 1)
-        entries = order_coherences(state.amplitudes, orders, support_eps).entries()
+        fixed_total = top = state.total_number
     else:
-        fixed_total = None
-        if orders is None:
-            orders = range(1, max(state.max_supported_total(support_eps), 1) + 1)
-        entries = tuple(catness_fidelity(state, n, support_eps) for n in orders)
+        fixed_total, top = None, max(state.max_supported_total(support_eps), 1)
+    if orders is None:
+        orders = range(1, top + 1)
+    entries = order_coherences(state, orders, support_eps).entries()
     return CoherenceReport(entries, spread(state), support_eps, fixed_total, state)

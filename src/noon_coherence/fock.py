@@ -275,7 +275,11 @@ class TwoModeDensityMatrix:
 
     def coherences(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stored element <n', m'+order| rho |n'+order, m'> as arrays
-        n', m' and values; they sit on the order-th subdiagonal of each block."""
+        n', m' and values; they sit on the order-th subdiagonal of each block.
+
+        Listed by n' + m' ascending, then m' ascending: the same sequence of
+        (n', m') for every order, cut at n' + m' = cutoff - order.
+        """
         n_a, n_b, diag_pos = _sector_layout(self.cutoff)
         bra = n_b >= order
         return n_a[bra], n_b[bra] - order, self._flat[diag_pos[bra] - order]
@@ -599,43 +603,3 @@ def to_density_matrix(state: FixedNState) -> TwoModeDensityMatrix:
     blocks.append(np.outer(state.amplitudes, state.amplitudes.conj()))
     return TwoModeDensityMatrix._from_blocks(n_tot, blocks)
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-
-def state_to_json(state: FixedNState) -> dict:
-    return {
-        "total_number": state.total_number,
-        "amplitudes_re": state.amplitudes.real.tolist(),
-        "amplitudes_im": state.amplitudes.imag.tolist(),
-    }
-
-
-def state_from_json(data: Mapping) -> FixedNState:
-    expected = {"total_number", "amplitudes_re", "amplitudes_im"}
-    if set(data) != expected:
-        raise ValueError(f"state JSON must have keys {sorted(expected)}")
-    amps = np.asarray(data["amplitudes_re"], dtype=float) + 1j * np.asarray(
-        data["amplitudes_im"], dtype=float
-    )
-    return FixedNState(int(data["total_number"]), amps)
-
-
-def density_to_json(rho: TwoModeDensityMatrix) -> dict:
-    return {
-        "cutoff": rho.cutoff,
-        "entries_re": rho.entries.real.tolist(),
-        "entries_im": rho.entries.imag.tolist(),
-    }
-
-
-def density_from_json(data: Mapping) -> TwoModeDensityMatrix:
-    expected = {"cutoff", "entries_re", "entries_im"}
-    if set(data) != expected:
-        raise ValueError(f"density JSON must have keys {sorted(expected)}")
-    ent = np.asarray(data["entries_re"], dtype=float) + 1j * np.asarray(
-        data["entries_im"], dtype=float
-    )
-    return TwoModeDensityMatrix(int(data["cutoff"]), ent)

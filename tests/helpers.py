@@ -19,7 +19,13 @@ from noon_coherence.dynamics import (
     PeriodEstimate,
     _quadratic_vertex,
 )
-from noon_coherence.fock import annihilation_matrix, ladder_coefficients, log_factorial
+from noon_coherence.fock import (
+    OperatorMonomial,
+    annihilation_matrix,
+    ladder_coefficients,
+    log_factorial,
+    moment,
+)
 from noon_coherence.interferometry import _mode_generator
 
 
@@ -103,6 +109,47 @@ def reference_pure_catness(state: FixedNState, order: int, support_eps: float = 
     )
     scaled = np.sum(np.exp(log_mag[nz]) * phases) if np.any(nz) else 0.0
     return fidelity, float(norm * abs(scaled)), norm, log_s, (n_tot - order - m_best, m_best)
+
+
+def reference_density_catness(
+    rho: TwoModeDensityMatrix, order: int, support_eps: float = 1e-9, element_tol: float = 1e-12
+):
+    """C_n, c_n, norm, log S and the S pair of one order of a density matrix,
+    computed order by order from the cross moment and an argmax of the
+    factorial weights over the (n', m') population grid: the reference for
+    the density rows of ``order_coherences``.
+
+    Returns (fidelity, bound, norm, s_log, s_pair) as ``reference_pure_catness``
+    does.  C_n sums the elements above ``element_tol``.  An order without a
+    supported pair gives c_n = 0 when |moment| <= ``element_tol`` and raises
+    ValueError otherwise.
+    """
+    n_eff = rho.max_supported_total(support_eps)
+    if order > n_eff:
+        return 0.0, 0.0, float("nan"), float("nan"), None
+    norm = normalization(n_eff, order)
+    mags = np.abs(rho.coherences(order)[2])
+    fidelity = float(norm * mags[2.0 * mags > element_tol].sum())
+    mom = moment(rho, OperatorMonomial.cross(order))
+    probs = rho.diagonal_probabilities()
+    span = rho.cutoff - order + 1
+    # supported[n', m']: P(n', m'+n) and P(n'+n, m') both above support_eps
+    supported = (probs[:span, order:] > support_eps) & (probs[order:, :span] > support_eps)
+    if not np.any(supported):
+        if abs(mom) <= element_tol:
+            return fidelity, 0.0, norm, float("nan"), None
+        raise ValueError(f"order-{order} moment is nonzero but no mode-number pair is supported")
+    n_left, m_right = np.indices(supported.shape)
+    log_w = 0.5 * (
+        log_factorial(m_right + order)
+        - log_factorial(m_right)
+        + log_factorial(n_left + order)
+        - log_factorial(n_left)
+    )
+    best = np.unravel_index(np.argmax(np.where(supported, log_w, -np.inf)), log_w.shape)
+    log_s = float(log_w[best])
+    bound = float(norm * np.exp(np.log(abs(mom)) - log_s)) if abs(mom) > 0.0 else 0.0
+    return fidelity, bound, norm, log_s, (int(best[0]), int(best[1]))
 
 
 def reference_tunnelling_period(

@@ -31,12 +31,13 @@ from noon_coherence.states import (
     make_noon,
     make_number_pair,
 )
-from noon_coherence.tolerances import EQ_TOL
+from noon_coherence.tolerances import EQ_TOL, SUPPORT_EPS
 
 from helpers import (
     close,
     random_fixed_state,
     random_mixture,
+    reference_density_catness,
     reference_pure_catness,
     reference_spread,
 )
@@ -296,15 +297,16 @@ def test_bound_below_fidelity_and_unit_ceiling():
 
 
 def test_bound_scales_with_loss():
+    # Equal loss scales c_n by eta^n while eta^N min_m P(m) stays above
+    # support_eps (1.1e-8 for the binomial state at N = 20, eta = 0.8).
     rng = np.random.default_rng(35)
-    eta = 0.7
-    for _ in range(5):
-        n_tot = int(rng.integers(2, 7))
-        state = random_fixed_state(n_tot, rng)
+    cases = [(random_fixed_state(int(rng.integers(2, 7)), rng), 0.7, 1e-13) for _ in range(5)]
+    cases.append((make_binomial_splitter(20), 0.8, SUPPORT_EPS))
+    for state, eta, support_eps in cases:
         lossy = apply_loss(to_density_matrix(state), LossSetting.uniform(eta))
-        for order in range(1, n_tot + 1):
-            pure = catness_fidelity(state, order, support_eps=1e-13)
-            mixed = catness_fidelity(lossy, order, support_eps=1e-13)
+        for order in range(1, state.total_number + 1):
+            pure = catness_fidelity(state, order, support_eps=support_eps)
+            mixed = catness_fidelity(lossy, order, support_eps=support_eps)
             assert close(mixed.bound, eta**order * pure.bound)
 
 
@@ -404,6 +406,77 @@ def test_evolve_series_equals_catness_per_time():
     assert np.all(trace.cn_series[n_tot + 1] == 0) and np.all(trace.cn_series[n_tot + 2] == 0)
     with pytest.raises(ValueError):
         evolve(system, make_number_pair(4, n_tot), times, [1, 0])
+
+
+def test_density_kernel_matches_per_order_reference():
+    rng = np.random.default_rng(44)
+    states = {f"mixture {k}": random_mixture(int(rng.integers(2, 17)), rng) for k in range(4)}
+    for n_tot, loss in ((12, LossSetting(0.7, 0.9)), (40, LossSetting(0.6, 0.9))):
+        states[f"noon N={n_tot}"] = apply_loss(to_density_matrix(make_noon(n_tot, 0.3)), loss)
+    for n_tot, n_l, loss in ((20, 9, LossSetting(0.8, 0.7)), (40, 10, LossSetting(0.5, 0.9))):
+        cat = make_embedded_cat(n_l, n_tot, 0.7)
+        states[f"cat N={n_tot}"] = apply_loss(to_density_matrix(cat), loss)
+    binomial = to_density_matrix(make_binomial_splitter(40))
+    states["binomial N=40"] = apply_loss(binomial, LossSetting.uniform(0.8))
+    raised = 0
+    for name, rho in states.items():
+        report = coherence_report(rho, orders=range(1, rho.cutoff + 1))
+        for entry in report.orders:
+            try:
+                fidelity, bound, norm, s_log, s_pair = reference_density_catness(rho, entry.order)
+            except ValueError:
+                raised += 1
+                fidelity = None
+            for got in (entry, catness_fidelity(rho, entry.order)):
+                where = f"{name} n={entry.order}"
+                if fidelity is None:
+                    assert got.bound == 0.0 and got.s_pair is None, where
+                    continue
+                assert close(got.fidelity, fidelity, EQ_TOL), where
+                assert close(got.bound, bound, EQ_TOL), where
+                assert close(got.norm, norm, EQ_TOL) or np.isnan(norm), where
+                assert (got.s_pair is None) == (s_pair is None), where
+                if s_pair is not None:
+                    assert close(got.s_log, s_log, EQ_TOL), where
+                    assert close(got.s_value, np.exp(s_log), EQ_TOL), where
+    assert raised >= 10  # the order kernel answers where the per-order route raised
+
+
+@pytest.mark.parametrize("n_tot", [20, 100])
+def test_pure_and_density_forms_agree(n_tot):
+    rng = np.random.default_rng(n_tot + 1)
+    # A subnormal amplitude makes subnormal products and block elements,
+    # whose phases once came out nan.
+    subnormal = make_binomial_splitter(n_tot).amplitudes.copy()
+    subnormal[1] = 1e-310
+    states = {
+        "binomial": make_binomial_splitter(n_tot),
+        "random": random_fixed_state(n_tot, rng),
+        "evolved": _evolved_state(n_tot),
+        "subnormal": FixedNState.from_amplitudes(subnormal),
+    }
+    for name, state in states.items():
+        pure = coherence_report(state)
+        mixed = coherence_report(to_density_matrix(state))
+        assert len(mixed.orders) == len(pure.orders) == n_tot, name
+        for a, b in zip(pure.orders, mixed.orders):
+            where = f"{name} N={n_tot} n={a.order}"
+            assert close(a.fidelity, b.fidelity, EQ_TOL), where
+            assert close(a.bound, b.bound, EQ_TOL), where
+            assert a.norm == b.norm and a.s_pair == b.s_pair, where
+
+
+def test_lossy_noon_report_at_cutoff_100_covers_every_order():
+    # P(100, 0) = 0.7^100 / 2 is below SUPPORT_EPS, so order 100 has no
+    # supported pair: its c_n is 0, although the moment is not.
+    rho = apply_loss(to_density_matrix(make_noon(100)), LossSetting(0.7, 0.9))
+    report = coherence_report(rho)
+    assert [e.order for e in report.orders] == list(range(1, 101))
+    last = report.orders[-1]
+    assert last.bound == 0.0 and last.s_pair is None and np.isnan(last.s_value)
+    assert close(last.fidelity, 2.0 * 0.63**50 / 2.0, EQ_TOL)
+    with pytest.raises(ValueError, match="no supported mode-number pair"):
+        s_factor(rho, 100)
 
 
 def test_evolve_memory_stays_within_the_kernel_budget():

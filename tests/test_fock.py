@@ -15,13 +15,7 @@ from noon_coherence import (
     to_density_matrix,
 )
 from noon_coherence.channels import LossSetting, apply_loss, lossy_number_distribution
-from noon_coherence.fock import (
-    density_from_json,
-    density_to_json,
-    log_factorial,
-    state_from_json,
-    state_to_json,
-)
+from noon_coherence.fock import log_factorial
 from noon_coherence.interferometry import beam_splitter_matrix, mode_transform_density
 from noon_coherence.states import make_binomial_splitter, make_noon, make_number_pair
 
@@ -62,9 +56,6 @@ def test_inter_sector_coherence_is_rejected():
     ent = np.outer(vec, vec.conj())
     with pytest.raises(ValueError, match="between total-number sectors"):
         TwoModeDensityMatrix(1, ent)
-    data = {"cutoff": 1, "entries_re": ent.real.tolist(), "entries_im": ent.imag.tolist()}
-    with pytest.raises(ValueError, match="between total-number sectors"):
-        density_from_json(data)
 
 
 def test_monomial_validation():
@@ -132,9 +123,6 @@ def test_occupation_above_the_cutoff_is_rejected():
     ent[dim * 2 + 2, dim * 2 + 2] = 1.0  # pure |2, 2>: total 4 above cutoff 2
     with pytest.raises(ValueError, match="total numbers n_a \\+ n_b > cutoff"):
         TwoModeDensityMatrix(2, ent)
-    data = {"cutoff": 2, "entries_re": ent.real.tolist(), "entries_im": ent.imag.tolist()}
-    with pytest.raises(ValueError, match="total numbers n_a \\+ n_b > cutoff"):
-        density_from_json(data)
 
 
 def test_density_layout_is_complete_sectors():
@@ -289,25 +277,6 @@ def test_to_density_matrix_examples():
     # rank 1
     eigs = np.linalg.eigvalsh(rho3.entries)
     assert close(eigs[-1], 1.0) and np.all(eigs[:-1] < 1e-12)
-
-
-def test_state_json_round_trip():
-    state = make_noon(3, phase=0.4)
-    data = state_to_json(state)
-    assert set(data) == {"total_number", "amplitudes_re", "amplitudes_im"}
-    back = state_from_json(data)
-    assert np.allclose(back.amplitudes, state.amplitudes)
-    with pytest.raises(ValueError):
-        state_from_json({**data, "extra": 1})
-
-
-def test_density_json_round_trip():
-    rho = to_density_matrix(make_noon(2, phase=0.3))
-    back = density_from_json(density_to_json(rho))
-    assert back.cutoff == rho.cutoff
-    assert np.allclose(back.entries, rho.entries)
-    with pytest.raises(ValueError):
-        density_from_json({"cutoff": 2})
 
 
 def test_log_factorial_is_correctly_rounded():
