@@ -101,7 +101,7 @@ def apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> TwoModeDensityMa
     blocks = _damp_mode(blocks, loss.eta_b, mode_b=True)
     # remove rounding-level asymmetry
     blocks = [(block + block.conj().T) / 2.0 for block in blocks]
-    return TwoModeDensityMatrix._from_blocks(rho.cutoff, blocks)
+    return TwoModeDensityMatrix(rho.cutoff, blocks)
 
 
 def detected_moment(state: State, mono, loss: LossSetting) -> complex:
@@ -129,10 +129,9 @@ def _damping_transfer(eta: float, dim: int) -> np.ndarray:
     return t
 
 
-def lossy_number_distribution(
-    state: FixedNState, loss: LossSetting, floor: float = 1e-15
-) -> dict[int, float]:
-    """P(2 J_Z) after loss, propagating occupation probabilities only.
+def lossy_number_distribution(state: FixedNState, loss: LossSetting) -> dict[int, float]:
+    """P(2 J_Z) after loss, propagating occupation probabilities only; values
+    at or below 1e-15 (``fock.DISTRIBUTION_FLOOR``) are dropped.
 
     The damping channel acts on each diagonal of the density matrix
     independently, so the output number distribution depends only on the
@@ -146,4 +145,4 @@ def lossy_number_distribution(
     joint[n_tot - m, m] = state.probabilities()
     joint = _damping_transfer(loss.eta_a, dim) @ joint
     joint = joint @ _damping_transfer(loss.eta_b, dim).T
-    return _difference_distribution(joint, floor)
+    return _difference_distribution(joint)

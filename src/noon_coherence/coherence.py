@@ -18,7 +18,7 @@ by batched locally optimal Rayleigh-Ritz steps, without the chain
 decomposition, the cosine formula or an eigensolve of A.  A enters only
 through shifted slices; the 3x3 Ritz matrices are solved in closed form
 (trigonometric root of the characteristic cubic, eigenvector from the
-adjugate), and the seeded starts are drawn once per (seed, restarts) and
+adjugate), and the seeded starts are drawn once per number of restarts and
 sliced for each N.
 
 Pure and mixed states go through one array kernel, ``order_coherences``: it
@@ -75,22 +75,33 @@ def normalization(total_number: int, order: int) -> float:
     return 1.0 / max_coherence_sum(total_number, order)
 
 
+# The numeric oracle's fixed settings: restart i starts from
+# default_rng(ORACLE_SEED + i), and the ascent stops after ORACLE_STALL_LIMIT
+# steps in a row that each raise the best sum by less than ORACLE_STALL_TOL,
+# or after ORACLE_MAX_ITER steps.
+ORACLE_SEED = 1234
+ORACLE_MAX_ITER = 60000
+ORACLE_STALL_TOL = 1e-12
+ORACLE_STALL_LIMIT = 12
+
+
 @lru_cache(maxsize=4)
-def _start_table(seed: int, restarts: int, width: int) -> np.ndarray:
-    """Row i holds default_rng(seed + i).random(width).  A generator's stream
-    does not depend on how many values are asked for, so its first d entries
-    are exactly default_rng(seed + i).random(d) for every d <= width."""
+def _start_table(restarts: int, width: int) -> np.ndarray:
+    """Row i holds default_rng(ORACLE_SEED + i).random(width).  A generator's
+    stream does not depend on how many values are asked for, so its first d
+    entries are exactly default_rng(ORACLE_SEED + i).random(d) for every
+    d <= width."""
     table = np.empty((restarts, width))
     for i in range(restarts):
-        table[i] = np.random.default_rng(seed + i).random(width)
+        table[i] = np.random.default_rng(ORACLE_SEED + i).random(width)
     table.setflags(write=False)
     return table
 
 
-def _seeded_starts(seed: int, restarts: int, dim: int) -> np.ndarray:
-    """Rows default_rng(seed + i).random(dim), i < restarts, sliced from the
-    cached table of the next power of two (at least 64) above dim."""
-    return _start_table(seed, restarts, max(64, 1 << (dim - 1).bit_length()))[:, :dim]
+def _seeded_starts(restarts: int, dim: int) -> np.ndarray:
+    """Rows default_rng(ORACLE_SEED + i).random(dim), i < restarts, sliced
+    from the cached table of the next power of two (at least 64) above dim."""
+    return _start_table(restarts, max(64, 1 << (dim - 1).bit_length()))[:, :dim]
 
 
 # A top Ritz vector is read off the adjugate of H - lambda I only when its
@@ -141,31 +152,24 @@ def _top_eigenvectors(h: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def max_coherence_sum_numeric(
-    total_number: int,
-    order: int,
-    restarts: int = 200,
-    seed: int = 1234,
-    max_iter: int = 60000,
-    stall_tol: float = 1e-12,
-    stall_limit: int = 12,
-) -> float:
+def max_coherence_sum_numeric(total_number: int, order: int, restarts: int = 200) -> float:
     """Numerically maximized coherence sum, independent of the closed form.
 
     The sum is (1/2) x^T A x over unit vectors x >= 0, with A[m, m+n] =
     A[m+n, m] = 1; A is applied by shifted slices and never formed.
     Restart i starts from the N + 1 uniform random amplitudes of
-    ``default_rng(seed + i)``, sliced from a table drawn once per (seed,
-    restarts) and cached, and climbs by locally optimal (LOBPCG-style)
-    steps: the top Ritz vector of A on span{x, A x - rho x, previous step},
+    ``default_rng(1234 + i)`` (``ORACLE_SEED``), sliced from a table drawn
+    once per number of restarts and cached, and climbs by locally optimal
+    (LOBPCG-style) steps: the top Ritz vector of A on span{x, A x - rho x, previous step},
     mapped through |.|, which keeps it feasible and cannot lower the sum
     because A >= 0.  The 3x3 Ritz matrices B A B^T = S + S^T, with
     S = B[:, :-n] B[:, n:]^T, come from shifted slices of the basis B, and
     their top eigenvectors from the closed-form ``_top_eigenvectors``
     rather than a general eigensolver.  All restarts step together; the
     result is the best sum over the restarts, so it can only grow with their
-    number.  Iteration stops after ``stall_limit`` steps in a row each raise
-    that best by less than ``stall_tol``.
+    number.  Iteration stops after 12 steps in a row (``ORACLE_STALL_LIMIT``)
+    each raise that best by less than 1e-12 (``ORACLE_STALL_TOL``), or after
+    60000 steps (``ORACLE_MAX_ITER``).
     """
     if not 1 <= order <= total_number:
         raise ValueError("order must lie in [1, total_number]")
@@ -175,7 +179,7 @@ def max_coherence_sum_numeric(
     def norm(v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("...i,...i->...", v, v))
 
-    x = _seeded_starts(seed, restarts, dim)
+    x = _seeded_starts(restarts, dim)
     x = x / norm(x)[:, None]
     # basis[k] holds direction k of every restart: x, the residual and the
     # previous step (zero before the first).
@@ -184,7 +188,7 @@ def max_coherence_sum_numeric(
     half_rho = np.einsum("ri,ri->r", x[:, :-n], x[:, n:])  # (1/2) x^T A x
     best = 0.0
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         ax = np.zeros_like(x)
         ax[:, n:] += x[:, :-n]
         ax[:, :-n] += x[:, n:]
@@ -215,9 +219,9 @@ def max_coherence_sum_numeric(
         x = new
         half_rho = np.einsum("ri,ri->r", x[:, :-n], x[:, n:])
         value = float(half_rho.max())
-        if value - best < stall_tol:
+        if value - best < ORACLE_STALL_TOL:
             stall += 1
-            if stall >= stall_limit:
+            if stall >= ORACLE_STALL_LIMIT:
                 break
         else:
             stall = 0
@@ -241,53 +245,51 @@ class CoherenceElement:
     magnitude: float
 
 
-def _element_arrays(
-    state: State, order: int, element_tol: float = ELEMENT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n', m' and magnitudes of the order-n elements above tol, in spectrum
-    order: ascending m' for a pure state, (n', m') lexicographic otherwise."""
+def _element_arrays(state: State, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n', m' and magnitudes of the order-n elements above ELEMENT_TOL, in
+    spectrum order: ascending m' for a pure state, (n', m') lexicographic
+    otherwise."""
     if isinstance(state, FixedNState):
         n_tot = state.total_number
         d = state.amplitudes
         m = np.arange(max(n_tot - order + 1, 0))
         mags = 2.0 * np.abs(d[m + order] * np.conj(d[m]))
-        keep = mags > element_tol
+        keep = mags > ELEMENT_TOL
         return n_tot - order - m[keep], m[keep], mags[keep]
     n_left, m_right, values = state.coherences(order)
     mags = 2.0 * np.abs(values)
-    keep = np.flatnonzero(mags > element_tol)
+    keep = np.flatnonzero(mags > ELEMENT_TOL)
     keep = keep[np.lexsort((m_right[keep], n_left[keep]))]
     return n_left[keep], m_right[keep], mags[keep]
 
 
-def coherence_spectrum(
-    state: State, order: int, element_tol: float = ELEMENT_TOL
-) -> list[CoherenceElement]:
-    """All coherence elements of the given order with magnitude above tol.
+def coherence_spectrum(state: State, order: int) -> list[CoherenceElement]:
+    """All coherence elements of the given order with magnitude above
+    ELEMENT_TOL (1e-12).
 
     An empty list certifies that no order-n coherence is resolvable at the
     stored cutoff.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    left, right, mags = _element_arrays(state, order, element_tol)
+    left, right, mags = _element_arrays(state, order)
     return [
         CoherenceElement(order, n_l, m_r, n_l - m_r, mag)
         for n_l, m_r, mag in zip(left.tolist(), right.tolist(), mags.tolist())
     ]
 
 
-def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
-    """Largest order carrying any nonzero coherence element.
+def spread(state: State) -> int:
+    """Largest order carrying any coherence element above ELEMENT_TOL (1e-12).
 
     Equals the maximal separation, in units of the mode-number difference
     j = (n_a - n_b)/2, between basis states the state actually connects.
     """
     if isinstance(state, FixedNState):
         # Sorted by descending magnitude, the partners j of amplitude i with
-        # 2 |d_i d_j| > tol are a prefix whose length only shrinks as |d_i|
-        # does; the widest pair of i lies at an end of that prefix's index
-        # range.  Once the prefix ends before i, every pair was seen.
+        # 2 |d_i d_j| > ELEMENT_TOL are a prefix whose length only shrinks as
+        # |d_i| does; the widest pair of i lies at an end of that prefix's
+        # index range.  Once the prefix ends before i, every pair was seen.
         mags = np.abs(state.amplitudes)
         rank = np.argsort(-mags)
         top = np.maximum.accumulate(rank).tolist()
@@ -295,7 +297,7 @@ def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
         desc = mags[rank].tolist()
         widest, count = 0, len(desc)
         for r, (index, value) in enumerate(zip(rank.tolist(), desc)):
-            while count > r and not 2.0 * (value * desc[count - 1]) > element_tol:
+            while count > r and not 2.0 * (value * desc[count - 1]) > ELEMENT_TOL:
                 count -= 1
             if count <= r:
                 break
@@ -303,7 +305,7 @@ def spread(state: State, element_tol: float = ELEMENT_TOL) -> int:
         return widest
     widest = 0
     for block in state.blocks:
-        rows, cols = np.nonzero(2.0 * np.abs(block) > element_tol)
+        rows, cols = np.nonzero(2.0 * np.abs(block) > ELEMENT_TOL)
         widest = max(widest, int(np.max(rows - cols, initial=0)))
     return widest
 

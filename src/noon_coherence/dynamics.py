@@ -22,10 +22,13 @@ import numpy as np
 
 from .coherence import order_coherences
 from .errors import NoOscillationError, NumericalError
-from .fock import FixedNState, ladder_coefficients
+from .fock import FixedNState, _sector_jz_values, ladder_coefficients
 
 DEGENERACY_FLOOR_ULPS = 64  # pair gaps below this many ulps of |H| are noise
 NORM_DRIFT_TOL = 1e-10  # largest |sum_m |d_m(t)|^2 - 1| an evolution may show
+PERIOD_SCAN_SAMPLES = 4096  # time samples of the <J_Z>(t) scan
+PERIOD_SCAN_HALFPERIODS = 10.0  # scan window in units of pi / (smallest gap)
+PERIOD_OVERLAP_TOL = 1e-6  # |<E_j|psi(0)>|^2 above which an eigenstate takes part
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,6 @@ def _check_norm(pm: np.ndarray) -> None:
         raise NumericalError(f"evolution lost normalization beyond {NORM_DRIFT_TOL:g}")
 
 
-def _jz_values(total_number: int) -> np.ndarray:
-    """J_Z = (N - 2m)/2 on the sector basis."""
-    return (total_number - 2.0 * np.arange(total_number + 1)) / 2.0
-
-
 def evolve_amplitudes(
     system: JosephsonSystem, initial: FixedNState, times: Sequence[float]
 ) -> np.ndarray:
@@ -122,7 +120,7 @@ def evolve(
     times = np.array(times, dtype=float)
     amps = evolve_amplitudes(system, initial, times)
     pm = np.abs(amps) ** 2
-    jz = pm @ _jz_values(system.total_number)
+    jz = pm @ _sector_jz_values(system.total_number)
     arrays = order_coherences(amps, orders)
     series = arrays.bound.T.copy()  # one contiguous row per order
     series.setflags(write=False)
@@ -144,18 +142,14 @@ class PeriodEstimate:
         return self.spectral
 
 
-def tunnelling_period(
-    system: JosephsonSystem,
-    initial: FixedNState,
-    samples: int = 4096,
-    window_halfperiods: float = 10.0,
-    overlap_tol: float = 1e-6,
-) -> PeriodEstimate:
+def tunnelling_period(system: JosephsonSystem, initial: FixedNState) -> PeriodEstimate:
     """Time of the first near-complete population transfer.
 
     Primary estimate: pi / |E_i - E_j| over the two eigenstates with the
-    largest overlap with the initial number state.  Validator: a scan of
-    <J_Z>(t) over [0, window_halfperiods * pi / dE_min] looking for the first
+    largest overlap with the initial number state, among the eigenstates
+    whose overlap exceeds 1e-6 (``PERIOD_OVERLAP_TOL``).  Validator: a scan
+    of <J_Z>(t) at 4096 times (``PERIOD_SCAN_SAMPLES``) over
+    [0, 10 pi / dE_min] (``PERIOD_SCAN_HALFPERIODS``) looking for the first
     extremum of sign opposite to <J_Z>(0), refined by quadratic
     interpolation.  Raises NoOscillationError in regimes without resolvable
     two-state behavior (including splittings below float64 resolution).
@@ -180,7 +174,7 @@ def tunnelling_period(
     scale = float(np.max(np.abs(system.eigenvalues)))
     floor = DEGENERACY_FLOOR_ULPS * np.finfo(float).eps * max(scale, 1.0)
 
-    relevant = np.flatnonzero(overlaps > overlap_tol)
+    relevant = np.flatnonzero(overlaps > PERIOD_OVERLAP_TOL)
     if relevant.size < 2:
         raise NoOscillationError(
             "initial state overlaps a single eigenstate; no two-state dynamics"
@@ -200,8 +194,8 @@ def tunnelling_period(
     gaps = gaps[gaps > floor]
     if gaps.size == 0:
         raise NoOscillationError("all relevant eigenstates are degenerate")
-    window = window_halfperiods * np.pi / float(gaps.min())
-    times = np.linspace(0.0, window, samples)
+    window = PERIOD_SCAN_HALFPERIODS * np.pi / float(gaps.min())
+    times = np.linspace(0.0, window, PERIOD_SCAN_SAMPLES)
     # Drop the smallest overlaps while their combined norm stays <= eps.  The
     # kept columns stay in eigenvalue order, so with nothing dropped the sums
     # run as in evolve.
@@ -212,7 +206,7 @@ def tunnelling_period(
     amps = (system.eigenvectors[:, keep] @ (phases * modal[keep, None])).T
     pm = np.abs(amps) ** 2
     _check_norm(pm)
-    jz = pm @ _jz_values(system.total_number)
+    jz = pm @ _sector_jz_values(system.total_number)
     j0 = jz[0]
     if abs(j0) < 1e-9:
         raise NoOscillationError(
@@ -224,10 +218,10 @@ def tunnelling_period(
     # local maximum of the raw trace.  The extremum of interest is that of
     # the envelope: average the ripple out over a window much shorter than a
     # half-period, then look for the first opposite-sign envelope peak.
-    width = max(3, samples // 32) | 1
+    width = max(3, PERIOD_SCAN_SAMPLES // 32) | 1
     kernel = np.ones(width) / width
     envelope = np.convolve(flipped, kernel, mode="same")
-    lo, hi = width, samples - width
+    lo, hi = width, PERIOD_SCAN_SAMPLES - width
     interior = envelope[lo:hi]
     peak_floor = 0.5 * float(interior.max())
     peaks = np.flatnonzero(

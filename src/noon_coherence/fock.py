@@ -5,10 +5,11 @@ sector spanned by |N-m>_a |m>_b; the amplitude vector stores d_0..d_N with d_m
 multiplying |N-m>_a |m>_b.  Mixed states are truncated at a total-number
 cutoff, n_a + n_b <= cutoff: every state, channel, rotation and spin operator
 here conserves or only lowers the total number, so nothing ever leaves that
-space.  They are stored as one complete (N+1) x (N+1) block per sector
-N = 0..cutoff in that same basis, about cutoff^3/3 numbers, and each
-operation works block by block.  The dense matrix over flattened pairs
-(n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an input and output format.
+space.  They are built from and stored as one complete (N+1) x (N+1) block
+per sector N = 0..cutoff in that same basis, about cutoff^3/3 numbers, and
+each operation works block by block.  The dense matrix over flattened pairs
+(n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an output, ``entries``, that
+no library path reads.
 
 All factorial ratios go through a cached table of log(n!), correctly rounded
 to float64, which keeps ladder-operator moments representable in float64 up
@@ -170,50 +171,24 @@ def _sector_layout(cutoff: int) -> tuple[np.ndarray, ...]:
 class TwoModeDensityMatrix:
     """Hermitian, unit-trace density matrix on total numbers n_a + n_b <= cutoff.
 
-    Stored as one complete block per total-number sector N = 0..cutoff:
-    blocks[N][m, m'] = <N-m, m| rho |N-m', m'>, the |N-m>_a |m>_b basis of
-    FixedNState, so the state takes sum (N+1)^2, about cutoff^3/3, numbers.
-    Coherence between sectors is not representable.
+    Built from and stored as one complete block per total-number sector
+    N = 0..cutoff: blocks[N][m, m'] = <N-m, m| rho |N-m', m'>, the
+    |N-m>_a |m>_b basis of FixedNState, so the state takes sum (N+1)^2,
+    about cutoff^3/3, numbers.  Coherence between sectors, and occupation
+    above the cutoff, are not representable.
 
-    The constructor takes the dense ((cutoff+1)^2, (cutoff+1)^2) matrix over
-    the flattened pair basis n_a * (cutoff + 1) + n_b and rejects elements
-    between different sectors, or on totals n_a + n_b > cutoff, above 1e-12.
-    Construction enforces Hermiticity, unit trace, nonnegative diagonal and
-    the necessary positivity condition |rho_ij|^2 <= rho_ii * rho_jj.
+    The constructor takes ``blocks`` as cutoff + 1 square arrays of sizes
+    1..cutoff+1 and enforces Hermiticity, unit trace, a real nonnegative
+    diagonal and the necessary positivity condition
+    |rho_ij|^2 <= rho_ii * rho_jj.
     """
 
     __slots__ = ("cutoff", "blocks", "_flat", "_populations")
 
-    def __init__(self, cutoff: int, entries):
+    def __init__(self, cutoff: int, blocks):
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        dim = (cutoff + 1) ** 2
-        ent = np.asarray(entries, dtype=complex)
-        if ent.shape != (dim, dim):
-            raise ValueError(f"expected entries of shape {(dim, dim)}, got {ent.shape}")
-        n_a, n_b = np.divmod(np.arange(dim), cutoff + 1)
-        rows, cols = np.nonzero(np.abs(ent) > 1e-12)
-        if np.any(n_a[rows] + n_b[rows] != n_a[cols] + n_b[cols]):
-            raise ValueError(
-                "density matrix has coherence between total-number sectors "
-                "above 1e-12; only number-conserving states are supported"
-            )
-        if np.any(n_a[rows] + n_b[rows] > cutoff):
-            raise ValueError(
-                f"density matrix occupies total numbers n_a + n_b > cutoff {cutoff} "
-                "above 1e-12; the cutoff bounds the total number"
-            )
-        sectors = [_dense_rows(cutoff, total) for total in range(cutoff + 1)]
-        self._store(cutoff, [ent[np.ix_(rows, rows)] for rows in sectors])
-
-    @classmethod
-    def _from_blocks(cls, cutoff: int, blocks) -> "TwoModeDensityMatrix":
-        """Build from sector blocks laid out as in ``blocks``, validated alike."""
-        rho = cls.__new__(cls)
-        rho._store(cutoff, blocks)
-        return rho
-
-    def _store(self, cutoff: int, blocks) -> None:
+        blocks = list(blocks)
         sizes = range(1, cutoff + 2)
         if [np.shape(b) for b in blocks] != [(n, n) for n in sizes]:
             raise ValueError(f"sector blocks do not match cutoff {cutoff}")
@@ -245,7 +220,12 @@ class TwoModeDensityMatrix:
     @property
     def entries(self) -> np.ndarray:
         """Dense ((cutoff+1)^2, (cutoff+1)^2) matrix over the flattened pair
-        basis, built on each access (cutoff^4 memory; no library path uses it)."""
+        basis n_a * (cutoff + 1) + n_b, built on each access (cutoff^4 memory).
+
+        No library path reads it.  Its readers are the benchmark harness's
+        dense-embedding check (``perfbench/dense_lossy.py``) and its byte
+        count of dense results (``perfbench/tracer.py``), and tests that
+        compare against dense operator algebra."""
         dim = (self.cutoff + 1) ** 2
         ent = np.zeros((dim, dim), dtype=complex)
         for total, block in enumerate(self.blocks):
@@ -253,21 +233,6 @@ class TwoModeDensityMatrix:
             ent[np.ix_(rows, rows)] = block
         ent.setflags(write=False)
         return ent
-
-    def index(self, n_a: int, n_b: int) -> int:
-        """Row of |n_a, n_b> in the dense ``entries`` matrix."""
-        if not (0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff):
-            raise IndexError(f"occupation ({n_a}, {n_b}) outside cutoff {self.cutoff}")
-        return n_a * (self.cutoff + 1) + n_b
-
-    def element(self, bra: tuple[int, int], ket: tuple[int, int]) -> complex:
-        """<bra_a, bra_b| rho |ket_a, ket_b>."""
-        for n_a, n_b in (bra, ket):
-            self.index(n_a, n_b)  # range check
-        total = sum(bra)
-        if sum(ket) != total or total > self.cutoff:
-            return 0j
-        return complex(self.blocks[total][bra[1], ket[1]])
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Occupation probabilities as a read-only (cutoff+1, cutoff+1) array [n_a, n_b]."""
@@ -365,6 +330,27 @@ def _as_monomial(mono) -> OperatorMonomial:
     return OperatorMonomial(*mono)
 
 
+def _ladder_weights(n_a: np.ndarray, n_b: np.ndarray, mono: OperatorMonomial) -> np.ndarray:
+    """<n_a - r + p, n_b - s + q| (a^dag)^p (b^dag)^q a^r b^s |n_a, n_b> for
+    n_a >= r and n_b >= s, through log factorials: the square root of
+    n_a! (n_a - r + p)! n_b! (n_b - s + q)! / ((n_a - r)! (n_b - s)!)^2."""
+    lowered_a = log_factorial(n_a - mono.r)
+    lowered_b = log_factorial(n_b - mono.s)
+    return np.exp(
+        0.5
+        * (
+            log_factorial(n_a)
+            - lowered_a
+            + log_factorial(n_a - mono.r + mono.p)
+            - lowered_a
+            + log_factorial(n_b)
+            - lowered_b
+            + log_factorial(n_b - mono.s + mono.q)
+            - lowered_b
+        )
+    )
+
+
 def _pure_moment(state: FixedNState, mono: OperatorMonomial) -> complex:
     # Number conservation: (p - r) extra quanta in a must balance (s - q)
     # removed from b, otherwise the expectation vanishes identically.
@@ -372,24 +358,10 @@ def _pure_moment(state: FixedNState, mono: OperatorMonomial) -> complex:
         return 0j
     n_tot = state.total_number
     d = state.amplitudes
-    k = mono.s - mono.q
     m = np.arange(n_tot + 1)
-    mb = m - k  # bra index after the monomial acts
-    ok = (m >= mono.s) & (n_tot - m >= mono.r) & (mb >= 0) & (mb <= n_tot)
-    if not np.any(ok):
-        return 0j
-    m, mb = m[ok], mb[ok]
-    logf = 0.5 * (
-        log_factorial(m)
-        - log_factorial(m - mono.s)
-        + log_factorial(n_tot - m)
-        - log_factorial(n_tot - m - mono.r)
-        + log_factorial(mb)
-        - log_factorial(m - mono.s)
-        + log_factorial(n_tot - mb)
-        - log_factorial(n_tot - m - mono.r)
-    )
-    return complex(np.sum(np.conj(d[mb]) * d[m] * np.exp(logf)))
+    m = m[(m >= mono.s) & (n_tot - m >= mono.r)]
+    mb = m - mono.s + mono.q  # bra index after the monomial acts
+    return complex(np.sum(np.conj(d[mb]) * d[m] * _ladder_weights(n_tot - m, m, mono)))
 
 
 def _density_moment(state: TwoModeDensityMatrix, mono: OperatorMonomial) -> complex:
@@ -397,27 +369,10 @@ def _density_moment(state: TwoModeDensityMatrix, mono: OperatorMonomial) -> comp
         return 0j  # the monomial leaves the sector: no block element connects
     # Within a sector the monomial moves n_b by q - s, i.e. the block column
     # of a row by the same amount; the target stays inside the sector.
-    shift = mono.q - mono.s
     na, nb, diag_pos = _sector_layout(state.cutoff)
     use = (na >= mono.r) & (nb >= mono.s)
-    if not np.any(use):
-        return 0j
-    na, nb = na[use], nb[use]
-    ta, tb = na - mono.r + mono.p, nb + shift
-    factor = np.exp(
-        0.5
-        * (
-            log_factorial(na)
-            - log_factorial(na - mono.r)
-            + log_factorial(ta)
-            - log_factorial(na - mono.r)
-            + log_factorial(nb)
-            - log_factorial(nb - mono.s)
-            + log_factorial(tb)
-            - log_factorial(nb - mono.s)
-        )
-    )
-    return complex(np.sum(state._flat[diag_pos[use] + shift] * factor))
+    values = state._flat[diag_pos[use] + mono.q - mono.s]
+    return complex(np.sum(values * _ladder_weights(na[use], nb[use], mono)))
 
 
 def moment(state: State, mono) -> complex:
@@ -574,24 +529,30 @@ def _density_third(rho: np.ndarray, n_tot: int, theta: float, power: int) -> flo
 # ---------------------------------------------------------------------------
 
 
-def number_distribution(state: State, floor: float = 1e-15) -> dict[int, float]:
-    """Probability of each outcome of 2*J_Z = n_a - n_b, dropping zeros."""
+# Outcome probabilities at or below this are dropped from number distributions.
+DISTRIBUTION_FLOOR = 1e-15
+
+
+def number_distribution(state: State) -> dict[int, float]:
+    """Probability of each outcome of 2*J_Z = n_a - n_b, dropping those at
+    or below 1e-15 (``DISTRIBUTION_FLOOR``)."""
     if isinstance(state, FixedNState):
         n_tot = state.total_number
         probs = state.probabilities()
-        dist = {int(n_tot - 2 * m): float(p) for m, p in enumerate(probs) if p > floor}
+        dist = {int(n_tot - 2 * m): float(p) for m, p in enumerate(probs) if p > DISTRIBUTION_FLOOR}
         return dict(sorted(dist.items()))
-    return _difference_distribution(state.diagonal_probabilities(), floor)
+    return _difference_distribution(state.diagonal_probabilities())
 
 
-def _difference_distribution(grid: np.ndarray, floor: float) -> dict[int, float]:
+def _difference_distribution(grid: np.ndarray) -> dict[int, float]:
     """P(n_a - n_b) from a square grid of occupation probabilities [n_a, n_b],
-    one line sum per difference, dropping values at or below ``floor``."""
+    one line sum per difference, dropping values at or below
+    ``DISTRIBUTION_FLOOR``."""
     last = len(grid) - 1
     dist: dict[int, float] = {}
     for diff in range(-last, last + 1):
         p = float(np.diagonal(grid, -diff).sum())  # the n_a - n_b = diff line
-        if p > floor:
+        if p > DISTRIBUTION_FLOOR:
             dist[diff] = p
     return dist
 
@@ -601,5 +562,5 @@ def to_density_matrix(state: FixedNState) -> TwoModeDensityMatrix:
     n_tot = state.total_number
     blocks = [np.zeros((total + 1, total + 1), dtype=complex) for total in range(n_tot)]
     blocks.append(np.outer(state.amplitudes, state.amplitudes.conj()))
-    return TwoModeDensityMatrix._from_blocks(n_tot, blocks)
+    return TwoModeDensityMatrix(n_tot, blocks)
 

@@ -31,6 +31,10 @@ from .fock import (
 )
 from .tolerances import EQ_TOL, NORM_TOL
 
+# Levels above the cutoff on the grid of the operator-identity check, so that
+# truncation of the ladder operators cannot reach the compared block.
+IDENTITY_MARGIN = 4
+
 
 # ---------------------------------------------------------------------------
 # mode rotations
@@ -131,7 +135,7 @@ def mode_transform_density(
                 f"mode transform changed the trace of sector N={total} by {drift:.3e}"
             )
         blocks.append((rotated + rotated.conj().T) / 2.0)
-    return TwoModeDensityMatrix._from_blocks(rho.cutoff, blocks)
+    return TwoModeDensityMatrix(rho.cutoff, blocks)
 
 
 def rotate_modes(state: FixedNState, phi: float) -> FixedNState:
@@ -352,8 +356,8 @@ def moment_from_quadratures(state: State, order: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _two_mode_ops(cutoff: int, margin: int = 4) -> dict[str, np.ndarray]:
-    dim = cutoff + margin + 1
+def _two_mode_ops(cutoff: int) -> dict[str, np.ndarray]:
+    dim = cutoff + IDENTITY_MARGIN + 1
     a = annihilation_matrix(dim)
     eye = np.eye(dim, dtype=complex)
     big_a = np.kron(a, eye)
@@ -371,12 +375,12 @@ def _inner_residual(lhs: np.ndarray, rhs: np.ndarray, inner: np.ndarray) -> floa
 def identity_residuals(cutoff: int = 6) -> dict[str, float]:
     """Max element-wise residuals of the measurement identities.
 
-    Operators are built with a 4-level margin above the cutoff and compared
-    on the inner block only, so the residuals reflect the identities, not
-    truncation.  Two candidate sign layouts of the third-order spin
-    combination are evaluated (they differ in the rotated-pair correction
-    term); only 'third_order_spin', the variant moment_from_spins uses, is
-    expected to vanish.
+    Operators are built with a 4-level margin (``IDENTITY_MARGIN``) above
+    the cutoff and compared on the inner block only, so the residuals
+    reflect the identities, not truncation.  Two candidate sign layouts of
+    the third-order spin combination are evaluated (they differ in the
+    rotated-pair correction term); only 'third_order_spin', the variant
+    moment_from_spins uses, is expected to vanish.
     """
     ops = _two_mode_ops(cutoff)
     a, b, inner = ops["a"], ops["b"], ops["inner"]

@@ -26,6 +26,12 @@ ROTATED_MODE_MATRIX = np.array(
 JX_NORMALIZED = "jx_normalized"
 N_NORMALIZED = "n_normalized"
 
+# Slack of the mixed-state bound check, and the largest |<J_X>| a spread-0
+# state may show before it is flagged as a contradiction.
+BOUND_CHECK_TOL = 1e-9
+# The two-atom inference needs |<J_Y>|, |<J_Z>| <= MEAN_TOL_FACTOR sqrt(<N>).
+MEAN_TOL_FACTOR = 0.05
+
 
 @dataclass(frozen=True)
 class SqueezeData:
@@ -140,19 +146,18 @@ class BoundCheckResult:
     contradiction: bool
 
 
-def mixed_state_bound_check(
-    state: State, delta0: float, tol: float = 1e-9
-) -> BoundCheckResult:
-    """Check (Delta J_Y)^2 >= |<J_X>|^2 / delta0^2 on a state.
+def mixed_state_bound_check(state: State, delta0: float) -> BoundCheckResult:
+    """Check (Delta J_Y)^2 >= |<J_X>|^2 / delta0^2 on a state, within 1e-9
+    (``BOUND_CHECK_TOL``).
 
-    delta0 is the coherence spread; a zero spread together with a nonzero
-    <J_X> is flagged as a contradiction (a spread-0 state cannot carry any
-    transverse mean spin).
+    delta0 is the coherence spread; a zero spread together with a <J_X>
+    above 1e-9 is flagged as a contradiction (a spread-0 state cannot carry
+    any transverse mean spin).
     """
     m = schwinger_moments(state)
     lhs = m.jy_var
     if delta0 == 0:
-        contradiction = abs(m.jx) > tol
+        contradiction = abs(m.jx) > BOUND_CHECK_TOL
         return BoundCheckResult(
             passed=not contradiction,
             lhs=float(lhs),
@@ -163,7 +168,7 @@ def mixed_state_bound_check(
     rhs = m.jx**2 / delta0**2
     margin = lhs - rhs
     return BoundCheckResult(
-        passed=bool(margin >= -tol),
+        passed=bool(margin >= -BOUND_CHECK_TOL),
         lhs=float(lhs),
         rhs=float(rhs),
         margin=float(margin),
@@ -202,19 +207,18 @@ class TwoAtomInference:
         }
 
 
-def infer_two_atom_coherence(
-    data: SqueezeData, mean_tol_factor: float = 0.05
-) -> TwoAtomInference:
+def infer_two_atom_coherence(data: SqueezeData) -> TwoAtomInference:
     """Certify a two-particle coherence in the rotated modes from spin data.
 
-    Requires near-zero first moments (|<J>| <= mean_tol_factor * sqrt(<N>)).
+    Requires near-zero first moments (|<J>| <= 0.05 sqrt(<N>), the factor
+    being ``MEAN_TOL_FACTOR``).
     When <J_Z^2> < <N>/4 < <J_Y^2>, the anticommutator of the rotated-mode
     spin components equals <J_Y^2> - <J_Z^2> != 0, which forces
     |<c^dag^2 d^2>| > 0: a coherence between rotated-mode number states two
     quanta apart.  An ordering failure yields an inconclusive (uncertified)
     result rather than an error.
     """
-    mean_tol = mean_tol_factor * np.sqrt(max(data.mean_n, 0.0))
+    mean_tol = MEAN_TOL_FACTOR * np.sqrt(max(data.mean_n, 0.0))
     for label, value in (("<J_Y>", data.jy_mean), ("<J_Z>", data.jz_mean)):
         if abs(value) > mean_tol:
             raise ValueError(

@@ -34,27 +34,18 @@ def random_fixed_state(total_number: int, rng: np.random.Generator) -> FixedNSta
     return FixedNState.from_amplitudes(amps)
 
 
-def embed_pure(state: FixedNState, cutoff: int) -> np.ndarray:
-    """|psi><psi| on the (cutoff+1)^2 grid."""
-    dim = cutoff + 1
-    vec = np.zeros(dim * dim, dtype=complex)
-    for m, amp in enumerate(state.amplitudes):
-        vec[(state.total_number - m) * dim + m] = amp
-    return np.outer(vec, vec.conj())
-
-
 def random_mixture(
     cutoff: int, rng: np.random.Generator, components: int = 3
 ) -> TwoModeDensityMatrix:
     """Random mixture of fixed-N pure states with totals <= cutoff."""
     weights = rng.random(components)
     weights /= weights.sum()
-    dim = (cutoff + 1) ** 2
-    rho = np.zeros((dim, dim), dtype=complex)
+    blocks = [np.zeros((n + 1, n + 1), dtype=complex) for n in range(cutoff + 1)]
     for w in weights:
         n = int(rng.integers(1, cutoff + 1))
-        rho += w * embed_pure(random_fixed_state(n, rng), cutoff)
-    return TwoModeDensityMatrix(cutoff, rho)
+        amps = random_fixed_state(n, rng).amplitudes
+        blocks[n] += w * np.outer(amps, amps.conj())
+    return TwoModeDensityMatrix(cutoff, blocks)
 
 
 def two_mode_spin_matrices(cutoff: int) -> dict[str, np.ndarray]:

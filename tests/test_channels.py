@@ -5,16 +5,29 @@ import pytest
 
 from noon_coherence import (
     LossSetting,
+    SqueezeData,
     TwoModeDensityMatrix,
     apply_loss,
     catness_fidelity,
+    coherence_report,
+    coherence_spectrum,
     cross_moment,
     detected_moment,
+    fringe_visibility,
+    intensity_difference,
+    mixed_state_bound_check,
+    mode_transform_density,
     moment,
+    moment_from_quadratures,
+    moment_from_spins,
+    number_distribution,
+    s_factor,
     schwinger_moments,
+    spread,
     to_density_matrix,
 )
 from noon_coherence.channels import kraus_operators, lossy_number_distribution
+from noon_coherence.interferometry import beam_splitter_matrix
 from noon_coherence.states import make_binomial_splitter, make_noon
 
 from helpers import close, random_fixed_state, random_mixture
@@ -102,6 +115,26 @@ def test_lossy_noon_at_cutoff_100_stays_in_sector_blocks(monkeypatch):
     spins = schwinger_moments(lossy)
     assert close(spins.ntot, n * (loss.eta_a + loss.eta_b) / 2)
     assert close(spins.jz, n * (loss.eta_a - loss.eta_b) / 4)
+
+    # every other density-matrix path, on a lossy NOON state at cutoff 40:
+    # loss keeps the coherence only between |40, 0> and |0, 40>
+    n = 40
+    small = apply_loss(to_density_matrix(make_noon(n, phase)), loss)
+    report = coherence_report(small)
+    assert spread(small) == report.spread == n
+    scale = (loss.eta_a * loss.eta_b) ** (n / 2)
+    assert abs(report.orders[-1].bound - scale) <= 1e-10 * scale
+    assert [el.order for el in coherence_spectrum(small, n)] == [n]
+    assert s_factor(small, n).pair == (0, 0)
+    rotated = mode_transform_density(small, beam_splitter_matrix(0.3))
+    assert close(schwinger_moments(rotated).ntot, spins.ntot * n / 100)
+    assert close(moment_from_quadratures(small, 1), cross_moment(small, 1))
+    assert close(moment_from_spins(small, 3), cross_moment(small, 3))
+    assert close(sum(number_distribution(small).values()), 1.0)
+    assert close(SqueezeData.from_state(small).mean_n, spins.ntot * n / 100)
+    assert mixed_state_bound_check(small, report.spread).passed
+    assert close(intensity_difference(small, 0.3), 0.0)
+    assert fringe_visibility(small) == 0.0
 
 
 def test_channel_composition():

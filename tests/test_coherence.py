@@ -51,11 +51,10 @@ def chain_adjacency(n_tot: int, order: int) -> np.ndarray:
 
 
 def classical_mixture(n_tot: int) -> TwoModeDensityMatrix:
-    dim = n_tot + 1
-    ent = np.zeros((dim * dim, dim * dim), dtype=complex)
-    ent[n_tot * dim, n_tot * dim] = 0.5  # |N, 0>
-    ent[n_tot, n_tot] = 0.5  # |0, N>
-    return TwoModeDensityMatrix(n_tot, ent)
+    blocks = [np.zeros((n + 1, n + 1), dtype=complex) for n in range(n_tot + 1)]
+    blocks[n_tot][0, 0] = 0.5  # |N, 0>
+    blocks[n_tot][n_tot, n_tot] = 0.5  # |0, N>
+    return TwoModeDensityMatrix(n_tot, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +105,18 @@ def test_oracle_starts_are_the_seeded_streams():
     # Every cached start equals a fresh draw bit for bit, also once a table
     # for a larger size has been drawn as well.
     seed, restarts = 1234, 200
+    assert coherence.ORACLE_SEED == seed
     fresh = [
         [np.random.default_rng(seed + i).random(dim) for i in range(restarts)]
         for dim in range(2, 62)
     ]
     for larger in (None, 300):
         if larger is not None:
-            wide = coherence._seeded_starts(seed, restarts, larger)
+            wide = coherence._seeded_starts(restarts, larger)
             for i in range(restarts):
                 assert np.array_equal(wide[i], np.random.default_rng(seed + i).random(larger))
         for dim, rows in zip(range(2, 62), fresh):
-            starts = coherence._seeded_starts(seed, restarts, dim)
+            starts = coherence._seeded_starts(restarts, dim)
             assert starts.shape == (restarts, dim)
             assert np.array_equal(starts, np.array(rows))
 

@@ -21,7 +21,6 @@ from noon_coherence.states import make_binomial_splitter, make_noon, make_number
 
 from helpers import (
     close,
-    embed_pure,
     random_fixed_state,
     random_mixture,
     two_mode_spin_matrices,
@@ -38,24 +37,51 @@ def test_fixed_n_state_validates_normalization():
 
 
 def test_density_matrix_validation():
-    rho = to_density_matrix(make_noon(2))
-    assert rho.cutoff == 2
-    bad = rho.entries.copy()
-    bad[0, 1] = 0.5  # breaks Hermiticity
-    with pytest.raises(ValueError):
-        TwoModeDensityMatrix(2, bad)
-    bad = rho.entries * 0.9  # breaks the trace
-    with pytest.raises(ValueError):
-        TwoModeDensityMatrix(2, bad)
+    rho = random_mixture(3, np.random.default_rng(4))
+    rebuilt = TwoModeDensityMatrix(rho.cutoff, rho.blocks)
+    assert len(rebuilt.blocks) == len(rho.blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.blocks, rho.blocks))
 
+    def variant(change):
+        blocks = [block.copy() for block in rho.blocks]
+        change(blocks)
+        return blocks
 
-def test_inter_sector_coherence_is_rejected():
-    # (|0,0> + |1,0>)/sqrt(2): a valid state, but it mixes sectors N = 0 and 1
-    vec = np.zeros(4, dtype=complex)
-    vec[[0, 2]] = 1 / np.sqrt(2)
-    ent = np.outer(vec, vec.conj())
-    with pytest.raises(ValueError, match="between total-number sectors"):
-        TwoModeDensityMatrix(1, ent)
+    def skew(blocks):
+        blocks[2][0, 1] += 0.01
+
+    def scale(blocks):
+        blocks[:] = [0.9 * block for block in blocks]
+
+    def negative(blocks):
+        # |1, 0> at -0.1, the sector's trace kept
+        trace = blocks[1].trace()
+        blocks[1][:, :] = 0.0
+        blocks[1][0, 0], blocks[1][1, 1] = -0.1, trace + 0.1
+
+    def above_bound(blocks):
+        # |<3, 0| rho |0, 3>|^2 above P(3, 0) P(0, 3)
+        pop = blocks[3].diagonal().real
+        blocks[3][0, 3] = 1.01 * np.sqrt(pop[0] * pop[3]) + 1e-3
+        blocks[3][3, 0] = np.conj(blocks[3][0, 3])
+
+    def reshape(blocks):
+        blocks[1] = np.zeros((3, 3))
+
+    cases = [
+        (variant(skew), "not Hermitian"),
+        (variant(scale), "trace must be 1"),
+        (variant(negative), "real and nonnegative"),
+        (variant(above_bound), "positivity bound"),
+        (list(rho.blocks[:-1]), "do not match cutoff"),
+        (list(rho.blocks) + [np.zeros((5, 5))], "do not match cutoff"),
+        (variant(reshape), "do not match cutoff"),
+    ]
+    for blocks, message in cases:
+        with pytest.raises(ValueError, match=message):
+            TwoModeDensityMatrix(3, blocks)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        TwoModeDensityMatrix(-1, [])
 
 
 def test_monomial_validation():
@@ -117,14 +143,6 @@ def test_density_moment_matches_pure_formula():
             assert close(cross_moment(rho, order), cross_moment(state, order))
 
 
-def test_occupation_above_the_cutoff_is_rejected():
-    dim = 3
-    ent = np.zeros((dim * dim, dim * dim), dtype=complex)
-    ent[dim * 2 + 2, dim * 2 + 2] = 1.0  # pure |2, 2>: total 4 above cutoff 2
-    with pytest.raises(ValueError, match="total numbers n_a \\+ n_b > cutoff"):
-        TwoModeDensityMatrix(2, ent)
-
-
 def test_density_layout_is_complete_sectors():
     rng = np.random.default_rng(8)
     state = random_fixed_state(6, rng)
@@ -169,7 +187,7 @@ def test_schwinger_coherent_spin_state():
     m = schwinger_moments(state)
     assert close(m.jx, 1.0) and close(m.jy, 0.0)
     ops = two_mode_spin_matrices(2)
-    rho = embed_pure(state, 2)
+    rho = to_density_matrix(state).entries
     assert close(np.trace(rho @ ops["jx"]).real, 1.0)
     assert close(np.trace(rho @ ops["jy"]).real, 0.0)
 
@@ -270,10 +288,10 @@ def test_attenuated_noon_distribution_is_bimodal():
 
 def test_to_density_matrix_examples():
     rho = to_density_matrix(make_noon(1))
-    assert close(abs(rho.element((1, 0), (0, 1))), 0.5)
+    assert close(abs(rho.blocks[1][0, 1]), 0.5)  # <1, 0| rho |0, 1>
     assert close(np.trace(rho.entries).real, 1.0)
     rho3 = to_density_matrix(make_noon(3))
-    assert close(rho3.element((0, 3), (3, 0)), 0.5)
+    assert close(rho3.blocks[3][3, 0], 0.5)  # <0, 3| rho |3, 0>
     # rank 1
     eigs = np.linalg.eigvalsh(rho3.entries)
     assert close(eigs[-1], 1.0) and np.all(eigs[:-1] < 1e-12)

@@ -82,11 +82,10 @@ def test_bound_check_random_pure_sweep():
 def test_bound_check_diagonal_mixture():
     # Mixtures of number states carry no transverse mean spin, so the
     # inequality holds trivially at any spread.
-    dim = 4
-    ent = np.zeros((dim * dim, dim * dim), dtype=complex)
-    ent[3 * dim + 0, 3 * dim + 0] = 0.4  # |3, 0>
-    ent[1 * dim + 2, 1 * dim + 2] = 0.6  # |1, 2>
-    rho = TwoModeDensityMatrix(3, ent)
+    blocks = [np.zeros((n + 1, n + 1), dtype=complex) for n in range(4)]
+    blocks[3][0, 0] = 0.4  # |3, 0>
+    blocks[3][2, 2] = 0.6  # |1, 2>
+    rho = TwoModeDensityMatrix(3, blocks)
     for delta in (0.0, 1.0, 3.0):
         assert mixed_state_bound_check(rho, delta).passed
 
