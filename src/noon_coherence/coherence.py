@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FixedNState, State, TwoModeDensityMatrix, log_factorial
+from .fock import FixedNState, State, TwoModeDensityMatrix, _block_index, log_factorial
 from .tolerances import ELEMENT_TOL, SUPPORT_EPS
 
 
@@ -303,11 +303,11 @@ def spread(state: State) -> int:
                 break
             widest = max(widest, top[count - 1] - index, index - bottom[count - 1])
         return widest
-    widest = 0
-    for block in state.blocks:
-        rows, cols = np.nonzero(2.0 * np.abs(block) > ELEMENT_TOL)
-        widest = max(widest, int(np.max(rows - cols, initial=0)))
-    return widest
+    index = _block_index(state.cutoff)
+    significant = 2.0 * np.abs(state._flat) > ELEMENT_TOL
+    # row m minus column m' of each element: the row and column states sit
+    # in one sector, numbered by their b count
+    return int(np.max(index.row[significant] - index.col[significant], initial=0))
 
 
 # ---------------------------------------------------------------------------

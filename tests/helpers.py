@@ -1,5 +1,6 @@
 """Shared test utilities: random states and mixtures with fixed seeds."""
 
+import math
 import os
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from noon_coherence import (
     evolve,
     normalization,
 )
+from noon_coherence.channels import LossSetting
 from noon_coherence.dynamics import (
     DEGENERACY_FLOOR_ULPS,
     JosephsonSystem,
@@ -21,6 +23,11 @@ from noon_coherence.dynamics import (
 )
 from noon_coherence.fock import (
     OperatorMonomial,
+    SchwingerMoments,
+    _sector_j_theta_power,
+    _sector_jx,
+    _sector_jy,
+    _sector_jz_values,
     annihilation_matrix,
     ladder_coefficients,
     log_factorial,
@@ -61,6 +68,79 @@ def two_mode_spin_matrices(cutoff: int) -> dict[str, np.ndarray]:
     jz = (A.conj().T @ A - B.conj().T @ B) / 2.0
     ntot = A.conj().T @ A + B.conj().T @ B
     return {"jx": jx, "jy": jy, "jz": jz, "ntot": ntot}
+
+
+def reference_kraus_weights(eta: float, dim: int, k: int) -> np.ndarray:
+    """<i|K_k|i+k> = sqrt(C(i+k, k) eta^i (1-eta)^k) for i < dim - k, from
+    exact binomials."""
+    return np.array(
+        [math.sqrt(math.comb(i + k, k) * eta**i * (1.0 - eta) ** k) for i in range(dim - k)]
+    )
+
+
+def _reference_damp_mode(blocks: list[np.ndarray], eta: float, mode_b: bool) -> list[np.ndarray]:
+    """Apply the single-mode channel to mode a (or b) of the complete sector
+    blocks N = 0..cutoff.  Losing k quanta maps the rows and columns of
+    sector N that hold at least k quanta in that mode, weighted by the Kraus
+    diagonals, onto rows 0..N-k of sector N - k: rows m >= k for mode b
+    (which also lowers the b count m by k), rows m <= N - k for mode a."""
+    weights = [reference_kraus_weights(eta, len(blocks), k) for k in range(len(blocks))]
+    out = [np.zeros_like(block) for block in blocks]
+    for total, block in enumerate(blocks):
+        if not block.any():
+            continue
+        for k in range(total + 1):
+            kept = total - k + 1
+            if mode_b:  # row m holds m quanta in b
+                w, part = weights[k][:kept], block[k:, k:]
+            else:  # row m holds total - m quanta in a
+                w, part = weights[k][kept - 1 :: -1], block[:kept, :kept]
+            out[total - k] += w[:, None] * w[None, :] * part
+    return out
+
+
+def reference_apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> list[np.ndarray]:
+    """The blocks of the lossy state, one sector block and one number of
+    lost quanta at a time, then symmetrized: the reference for
+    ``apply_loss``."""
+    blocks = _reference_damp_mode(list(rho.blocks), loss.eta_a, mode_b=False)
+    blocks = _reference_damp_mode(blocks, loss.eta_b, mode_b=True)
+    return [(block + block.conj().T) / 2.0 for block in blocks]
+
+
+def reference_density_schwinger(rho: TwoModeDensityMatrix, angles=()) -> SchwingerMoments:
+    """Spin moments as sums over sector blocks of Tr(O_N rho_N), with the
+    sector operators applied block by block: the reference for the
+    density-matrix path of ``schwinger_moments``."""
+    names = ("jx", "jy", "jz", "ntot", "jx2", "jy2", "jz2", "jxy_anti")
+    sums = dict.fromkeys(names, 0.0)
+    jtheta2, jtheta3, gtheta3 = (dict.fromkeys(angles, 0.0) for _ in range(3))
+
+    def third(block, n_tot, theta, power):
+        return float(np.trace(_sector_j_theta_power(block, n_tot, theta, power)).real)
+
+    for n_tot, block in enumerate(rho.blocks):
+        jx_r, jy_r = _sector_jx(block, n_tot), _sector_jy(block, n_tot)
+        jz = _sector_jz_values(n_tot)
+        probs = block.diagonal().real
+        sums["jx"] += np.trace(jx_r).real
+        sums["jy"] += np.trace(jy_r).real
+        sums["jz"] += np.sum(jz * probs)
+        sums["ntot"] += n_tot * np.sum(probs)
+        sums["jx2"] += np.trace(_sector_jx(jx_r, n_tot)).real
+        sums["jy2"] += np.trace(_sector_jy(jy_r, n_tot)).real
+        sums["jz2"] += np.sum(jz**2 * probs)
+        sums["jxy_anti"] += np.trace(_sector_jx(jy_r, n_tot) + _sector_jy(jx_r, n_tot)).real
+        for theta in jtheta2:
+            jtheta2[theta] += third(block, n_tot, theta, power=2)
+            jtheta3[theta] += third(block, n_tot, theta, power=3)
+            gtheta3[theta] += third(block, n_tot, theta + np.pi / 2, power=3)
+    return SchwingerMoments(
+        **{name: float(value) for name, value in sums.items()},
+        jtheta2=jtheta2,
+        jtheta3=jtheta3,
+        gtheta3=gtheta3,
+    )
 
 
 def reference_pure_catness(state: FixedNState, order: int, support_eps: float = 1e-9):
@@ -200,6 +280,16 @@ def reference_sector_unitary(total_number: int, u: np.ndarray) -> np.ndarray:
     gen += np.diag(k[0, 1] * up, 1) + np.diag(k[1, 0] * up, -1)
     energies, vectors = np.linalg.eigh(gen)
     return (vectors * np.exp(1j * energies)) @ vectors.conj().T
+
+
+def reference_density_spread(rho: TwoModeDensityMatrix, element_tol: float = 1e-12) -> int:
+    """Largest m - m' over the elements with 2 |rho[m, m']| > tol, one
+    sector block at a time."""
+    widest = 0
+    for block in rho.blocks:
+        rows, cols = np.nonzero(2.0 * np.abs(block) > element_tol)
+        widest = max(widest, int(np.max(rows - cols, initial=0)))
+    return widest
 
 
 def reference_spread(state: FixedNState, element_tol: float = 1e-12) -> int:

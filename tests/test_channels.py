@@ -30,7 +30,24 @@ from noon_coherence.channels import kraus_operators, lossy_number_distribution
 from noon_coherence.interferometry import beam_splitter_matrix
 from noon_coherence.states import make_binomial_splitter, make_noon
 
-from helpers import close, random_fixed_state, random_mixture
+from helpers import (
+    close,
+    random_fixed_state,
+    random_mixture,
+    reference_apply_loss,
+    reference_density_schwinger,
+)
+
+TRANSMISSIONS = (0.0, 0.3, 0.55, 1.0)
+
+
+def _test_states(cutoff: int, rng: np.random.Generator) -> list[TwoModeDensityMatrix]:
+    """A random mixture at the cutoff (the vacuum at cutoff 0) and a lossy
+    copy of it, whose populations spread over every sector."""
+    if cutoff == 0:
+        return [TwoModeDensityMatrix(0, [np.ones((1, 1))])]
+    rho = random_mixture(cutoff, rng, components=4)
+    return [rho, apply_loss(rho, LossSetting(0.7, 0.45))]
 
 
 def test_loss_setting_validation():
@@ -94,6 +111,53 @@ def test_channel_matches_two_mode_kraus_sum():
     dense = rho.entries
     expected = sum(k @ dense @ k.conj().T for k in pairs)
     assert np.max(np.abs(apply_loss(rho, loss).entries - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 6, 12, 40])
+def test_channel_matches_block_reference(cutoff):
+    rng = np.random.default_rng(100 + cutoff)
+    for rho in _test_states(cutoff, rng):
+        for eta_a in TRANSMISSIONS:
+            for eta_b in TRANSMISSIONS:
+                loss = LossSetting(eta_a, eta_b)
+                lossy = apply_loss(rho, loss)
+                expected = reference_apply_loss(rho, loss)
+                assert max(np.max(np.abs(a - b)) for a, b in zip(lossy.blocks, expected)) <= 1e-14
+
+
+def test_channel_matches_block_reference_for_noon_at_cutoff_100():
+    rho = to_density_matrix(make_noon(100, 0.4))
+    loss = LossSetting(0.95, 0.9)
+    lossy = apply_loss(rho, loss)
+    expected = reference_apply_loss(rho, loss)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(lossy.blocks, expected)) <= 1e-14
+
+
+def _assert_moments_match(got, want):
+    for name in ("jx", "jy", "jz", "ntot", "jx2", "jy2", "jz2", "jxy_anti"):
+        assert close(getattr(got, name), getattr(want, name), tol=1e-12), name
+    for name in ("jtheta2", "jtheta3", "gtheta3"):
+        assert getattr(got, name).keys() == getattr(want, name).keys()
+        for theta, value in getattr(want, name).items():
+            assert close(getattr(got, name)[theta], value, tol=1e-12), (name, theta)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 6, 12, 40])
+def test_density_spin_moments_match_block_reference(cutoff):
+    rng = np.random.default_rng(200 + cutoff)
+    angles = (0.0, 0.7, np.pi / 2, 2.1, 0.7)
+    for rho in _test_states(cutoff, rng):
+        _assert_moments_match(
+            schwinger_moments(rho, angles), reference_density_schwinger(rho, angles)
+        )
+        _assert_moments_match(schwinger_moments(rho), reference_density_schwinger(rho))
+
+
+def test_density_spin_moments_match_block_reference_for_lossy_noon_at_cutoff_100():
+    lossy = apply_loss(to_density_matrix(make_noon(100, 0.4)), LossSetting(0.95, 0.9))
+    _assert_moments_match(
+        schwinger_moments(lossy, (0.3,)), reference_density_schwinger(lossy, (0.3,))
+    )
 
 
 def test_lossy_noon_at_cutoff_100_stays_in_sector_blocks(monkeypatch):
@@ -166,13 +230,28 @@ def test_detected_moment_large_splitter():
 
 
 def test_detected_moment_unequal_transmissions():
+    # the closed form against the moment of the explicitly lossy state
     rng = np.random.default_rng(24)
-    state = random_fixed_state(4, rng)
     loss = LossSetting(0.9, 0.5)
-    for order in (1, 2):
-        via_kraus = detected_moment(state, (order, 0, 0, order), loss)
-        analytic = (loss.eta_a * loss.eta_b) ** (order / 2) * cross_moment(state, order)
-        assert close(via_kraus, analytic)
+    for n_tot in range(1, 9):
+        state = random_fixed_state(n_tot, rng)
+        mixed = random_mixture(n_tot, rng)
+        for order in range(1, n_tot + 1):
+            mono = (order, 0, 0, order)
+            lossy = apply_loss(to_density_matrix(state), loss)
+            assert close(detected_moment(state, mono, loss), moment(lossy, mono), tol=1e-12)
+            lossy = apply_loss(mixed, loss)
+            assert close(detected_moment(mixed, mono, loss), moment(lossy, mono), tol=1e-12)
+
+
+def test_detected_moment_equal_transmissions_scale_exactly():
+    # sqrt(eta * eta) rounds back to eta, so the scale is bit-identical to eta^n
+    state = make_binomial_splitter(12)
+    for eta in (0.0, 1e-150, 0.3, 0.55, 0.8, 0.123456789, 1.0):
+        for order in range(13):
+            mono = (order, 0, 0, order)
+            expected = eta**order * moment(state, mono)
+            assert detected_moment(state, mono, LossSetting.uniform(eta)) == expected
 
 
 def test_detected_moment_rejects_general_monomials():

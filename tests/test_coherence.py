@@ -38,6 +38,7 @@ from helpers import (
     random_fixed_state,
     random_mixture,
     reference_density_catness,
+    reference_density_spread,
     reference_pure_catness,
     reference_spread,
 )
@@ -198,6 +199,20 @@ def test_spread_examples():
     assert spread(make_embedded_cat(4, 20)) == 12
     assert spread(make_binomial_splitter(6)) == 6
     assert spread(classical_mixture(4)) == 0
+
+
+@pytest.mark.parametrize("cutoff", [12, 40, 100])
+def test_density_spread_matches_block_loop(cutoff):
+    rng = np.random.default_rng(cutoff)
+    loss = LossSetting(0.8, 0.6)
+    states = [
+        apply_loss(to_density_matrix(make_noon(cutoff, 0.2)), loss),
+        apply_loss(to_density_matrix(make_embedded_cat(cutoff // 3, cutoff)), loss),
+        random_mixture(cutoff, rng),
+        classical_mixture(cutoff),
+    ]
+    for rho in states:
+        assert spread(rho) == reference_density_spread(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,12 @@ def test_density_matrix_validation():
     def reshape(blocks):
         blocks[1] = np.zeros((3, 3))
 
+    def not_finite(value, row, col):
+        def change(blocks):
+            blocks[2][row, col] = value
+
+        return change
+
     cases = [
         (variant(skew), "not Hermitian"),
         (variant(scale), "trace must be 1"),
@@ -76,12 +82,23 @@ def test_density_matrix_validation():
         (list(rho.blocks[:-1]), "do not match cutoff"),
         (list(rho.blocks) + [np.zeros((5, 5))], "do not match cutoff"),
         (variant(reshape), "do not match cutoff"),
+        (variant(not_finite(np.nan, 1, 1)), "must be finite"),
+        (variant(not_finite(np.inf, 0, 2)), "must be finite"),
+        (variant(not_finite(complex(0.1, -np.inf), 2, 0)), "must be finite"),
+        (variant(not_finite(complex(np.nan, 0.0), 0, 1)), "must be finite"),
     ]
     for blocks, message in cases:
         with pytest.raises(ValueError, match=message):
             TwoModeDensityMatrix(3, blocks)
     with pytest.raises(ValueError, match="cutoff must be >= 0"):
         TwoModeDensityMatrix(-1, [])
+    with pytest.raises(ValueError, match="must be finite"):
+        TwoModeDensityMatrix(1, [[[np.nan]], np.zeros((2, 2))])
+    for value in (np.inf, -np.inf):  # an infinite pair is "Hermitian" but not finite
+        blocks = [block.copy() for block in rho.blocks]
+        blocks[3][0, 3] = blocks[3][3, 0] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            TwoModeDensityMatrix(3, blocks)
 
 
 def test_monomial_validation():
