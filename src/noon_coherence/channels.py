@@ -4,7 +4,8 @@ The channel is realized as per-mode Kraus operators
 K_k = sum_n sqrt(C(n,k) eta^(n-k) (1-eta)^k) |n-k><n|,
 equivalent to mixing each mode with a vacuum mode on a beam splitter of
 transmission eta and tracing the vacuum out.  All their weights come from
-one (dim, dim) table per transmission.  On a density matrix the channel
+one (dim, dim) table per transmission, built from strided views of the
+cached log(n!) table.  On a density matrix the channel
 keeps the offset d = m' - m of every block element, so ``apply_loss`` runs
 it as one triangular matrix product per mode on a grid per offset, batched
 over offsets, with the grids gathered from and scattered back to the
@@ -12,7 +13,7 @@ concatenated blocks.  Normally ordered moments scale exactly as
 eta_a^((p+r)/2) eta_b^((q+s)/2), so ``detected_moment`` gives the lossy
 cross moment, for any pair of transmissions, as (eta_a eta_b)^(n/2) times
 the input moment without building the channel; the tests check it against
-the explicit Kraus map.
+the explicit Kraus map, whose dense operators live with the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .fock import (
     TwoModeDensityMatrix,
     _block_index,
     _difference_distribution,
-    _split_blocks,
     log_factorial,
     moment,
 )
@@ -66,35 +66,40 @@ def _log_pow(base: float, expo: np.ndarray) -> np.ndarray:
     return expo * np.log(base)
 
 
-def _log_transfer(eta: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells i <= j of a (dim, dim) grid and, on them,
-    log P(j quanta -> i survive) = log(C(j, i) eta^i (1-eta)^(j-i))."""
-    i, j = np.triu_indices(dim)
-    log_binom = log_factorial(j) - log_factorial(i) - log_factorial(j - i)
-    return i, j, log_binom + _log_pow(eta, i) + _log_pow(1.0 - eta, j - i)
+def _log_transfer(eta: float, dim: int) -> np.ndarray:
+    """log P(j quanta -> i survive) = log(C(j, i) eta^i (1-eta)^(j-i)) on the
+    (dim, dim) grid [i, j], and -inf where i > j.
+
+    The terms that depend on j - i come from strided views of one line each
+    (``_toeplitz``), with log(k!) read from the cached table, so nothing is
+    gathered per cell; the cells i <= j see the same operations in the same
+    order as an elementwise evaluation."""
+    lags = np.arange(1 - dim, dim)  # j - i
+    log_fact = log_factorial(lags)  # +inf for j < i
+    counts = log_fact[dim - 1 :]  # log n!, n = 0..dim-1
+    log_binom = counts[None, :] - counts[:, None] - _toeplitz(log_fact, dim)
+    return log_binom + _log_pow(eta, lags[dim - 1 :])[:, None] + _toeplitz(
+        _log_pow(1.0 - eta, lags), dim
+    )
 
 
-def _kraus_table(eta: float, dim: int) -> np.ndarray:
+def _toeplitz(line: np.ndarray, dim: int) -> np.ndarray:
+    """The (dim, dim) view [i, j] -> line[j - i + dim - 1] of a contiguous
+    line of 2 dim - 1 floats.  (``np.ndarray`` makes the view directly;
+    ``sliding_window_view`` costs about 10 us of Python per call.)"""
+    step = line.itemsize
+    return np.ndarray((dim, dim), line.dtype, line, (dim - 1) * step, (-step, step))
+
+
+def _kraus_table(eta: float, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """Upper-triangular A[i, n] = <i|K_(n-i)|n> = sqrt(P(n quanta -> i survive)):
     every Kraus weight of the single-mode channel on ``dim`` levels."""
-    i, j, log_t = _log_transfer(eta, dim)
-    table = np.zeros((dim, dim))
-    table[i, j] = np.exp(0.5 * log_t)
-    return table
+    return np.exp(0.5 * _log_transfer(eta, dim), out=out)
 
 
 def _damping_transfer(eta: float, dim: int) -> np.ndarray:
     """Column-stochastic matrix T[i, j] = P(j quanta -> i survive)."""
-    i, j, log_t = _log_transfer(eta, dim)
-    t = np.zeros((dim, dim))
-    t[i, j] = np.exp(log_t)
-    return t
-
-
-def kraus_operators(eta: float, dim: int) -> list[np.ndarray]:
-    """All Kraus operators of the single-mode loss channel on ``dim`` levels."""
-    table = _kraus_table(eta, dim)
-    return [np.diag(np.diagonal(table, k), k).astype(complex) for k in range(dim)]
+    return np.exp(_log_transfer(eta, dim))
 
 
 # Block offsets d per batched product in apply_loss: the grids of a batch are
@@ -167,9 +172,11 @@ def _shifted_tables(eta: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     matrix of offset d is A[:L, :L] * W[d, :L, :L], zero beyond side
     L = dim - d."""
     padded = np.zeros((2 * dim - 1, 2 * dim - 1))
-    padded[:dim, :dim] = _kraus_table(eta, dim)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (dim, dim))
-    return padded, np.moveaxis(np.diagonal(windows), -1, 0)
+    _kraus_table(eta, dim, out=padded[:dim, :dim])
+    row, step = padded.strides
+    shifted = np.ndarray((dim, dim, dim), float, padded, 0, (row + step, row, step))
+    shifted.setflags(write=False)
+    return padded, shifted
 
 
 def apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> TwoModeDensityMatrix:
@@ -186,15 +193,17 @@ def apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> TwoModeDensityMa
     index = _block_index(cutoff)
     loss_index = _loss_index(cutoff)
     flat = rho._flat
-    # the Hermitian part, and a zero at position S for the padding cells
+    # Every index below is in range; mode="clip" only spares the buffered
+    # copy that np.take makes for out= under its default mode.
+    # The Hermitian part, and a zero at position S for the padding cells:
     hermitian = np.zeros(len(flat) + 1, dtype=complex)
-    np.take(flat, index.transpose, out=hermitian[:-1])
+    np.take(flat, index.transpose, out=hermitian[:-1], mode="clip")
     np.conjugate(hermitian, out=hermitian)
     hermitian[:-1] += flat
     hermitian *= 0.5
     grids = np.empty((2, len(loss_index.gather)))
-    np.take(hermitian.real, loss_index.gather, out=grids[0])
-    np.take(hermitian.imag, loss_index.gather, out=grids[1])
+    np.take(hermitian.real, loss_index.gather, out=grids[0], mode="clip")
+    np.take(hermitian.imag, loss_index.gather, out=grids[1], mode="clip")
     table_a, shifted_a = _shifted_tables(loss.eta_a, dim)
     table_b, shifted_b = _shifted_tables(loss.eta_b, dim)
     for d0, d1, start in loss_index.batches:
@@ -205,10 +214,10 @@ def apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> TwoModeDensityMa
         right = table_b[:side, :side] * shifted_b[d0:d1, :side, :side]
         np.matmul(left @ part, right.transpose(0, 2, 1), out=part)
     lossy = hermitian[:-1]  # the grids hold the state now; reuse the buffer
-    np.take(grids[0], loss_index.scatter, out=lossy.real)
-    np.take(grids[1], loss_index.scatter, out=lossy.imag)
+    np.take(grids[0], loss_index.scatter, out=lossy.real, mode="clip")
+    np.take(grids[1], loss_index.scatter, out=lossy.imag, mode="clip")
     np.conjugate(lossy, out=lossy, where=loss_index.lower)
-    return TwoModeDensityMatrix(cutoff, _split_blocks(lossy, cutoff))
+    return TwoModeDensityMatrix._from_store(cutoff, lossy)
 
 
 def detected_moment(state: State, mono, loss: LossSetting) -> complex:
@@ -236,11 +245,9 @@ def lossy_number_distribution(state: FixedNState, loss: LossSetting) -> dict[int
     input one; this avoids materializing the dense channel for large N.
     Cross-checked against apply_loss in the tests.
     """
-    n_tot = state.total_number
-    dim = n_tot + 1
-    m = np.arange(dim)
-    joint = np.zeros((dim, dim))
-    joint[n_tot - m, m] = state.probabilities()
-    joint = _damping_transfer(loss.eta_a, dim) @ joint
+    dim = state.total_number + 1
+    # the joint input holds P(m) at [N - m, m], one entry per column, so
+    # T_a @ joint is column m of T_a reversed, scaled by P(m)
+    joint = _damping_transfer(loss.eta_a, dim)[:, ::-1] * state.probabilities()
     joint = joint @ _damping_transfer(loss.eta_b, dim).T
     return _difference_distribution(joint)

@@ -10,7 +10,7 @@ per sector N = 0..cutoff in that same basis, about cutoff^3/3 numbers, kept
 as one concatenated row-major array.  The constructor checks, the spin
 moments, the loss channel and the coherence spread are a fixed number of
 whole-array passes over it, through per-cutoff cached index arrays
-(``_block_index``); only the mode rotations still go sector by sector.
+(``_block_index``), and so are the mode rotations (``interferometry``).
 The dense matrix over flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b
 is only an output, ``entries``, that no library path reads.
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
@@ -208,6 +209,69 @@ def _split_blocks(flat: np.ndarray, cutoff: int) -> list[np.ndarray]:
     ]
 
 
+# Largest scratch buffer, in bytes, that the density-matrix checks keep per
+# thread between calls: 24 bytes per stored element, so stores up to cutoff
+# 100 (8.4 MB) reuse one buffer; larger ones get a buffer for the call.
+SCRATCH_BYTES = 8 * 2**20
+
+_scratch = threading.local()
+
+
+def _scratch_buffer(count: int) -> np.ndarray:
+    """``count`` float64 scratch entries; up to ``SCRATCH_BYTES`` they come
+    from one buffer kept by the calling thread, so repeated checks touch no
+    fresh pages."""
+    if 8 * count > SCRATCH_BYTES:
+        return np.empty(count)
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or len(buffer) < count:
+        buffer = _scratch.buffer = np.empty(count)
+    return buffer[:count]
+
+
+def _checked_populations(cutoff: int, flat: np.ndarray) -> np.ndarray:
+    """Check the concatenated store of a density matrix at ``cutoff`` and
+    return its populations as a (cutoff+1, cutoff+1) grid [n_a, n_b].
+
+    Raises ValueError unless the entries are finite, the blocks Hermitian
+    within 1e-12, the diagonal real and nonnegative (within 1e-12), the
+    trace 1 within 1e-10 and every |rho_ij|^2 at most rho_ii rho_jj + EQ_TOL,
+    checked in that order.  The Hermiticity and positivity temporaries live
+    in one scratch buffer of 24 bytes per element (``_scratch_buffer``).
+    """
+    if not np.isfinite(flat.view(float)).all():
+        raise ValueError("density matrix entries must be finite")
+    index = _block_index(cutoff)
+    count = len(flat)
+    scratch = _scratch_buffer(3 * count)
+    skew = scratch[: 2 * count].view(complex)
+    magnitude = scratch[2 * count :]
+    # indices in range: mode="clip" spares np.take's buffered copy for out=
+    np.take(flat, index.transpose, out=skew, mode="clip")
+    np.conjugate(skew, out=skew)
+    np.subtract(flat, skew, out=skew)
+    if np.abs(skew, out=magnitude).max() > 1e-12:
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    diag = flat[index.diag]
+    if np.max(np.abs(diag.imag)) > 1e-12 or np.min(diag.real) < -1e-12:
+        raise ValueError("diagonal must be real and nonnegative")
+    trace = float(diag.real.sum())
+    if abs(trace - 1.0) > 1e-10:
+        raise ValueError(f"trace must be 1 within 1e-10, got {trace!r}")
+    pop = np.maximum(diag.real, 0.0)
+    bound, other = scratch[:count], scratch[count : 2 * count]
+    np.take(pop, index.row, out=bound, mode="clip")
+    bound *= np.take(pop, index.col, out=other, mode="clip")
+    bound += EQ_TOL
+    np.abs(flat, out=magnitude)
+    magnitude *= magnitude
+    if (magnitude > bound).any():
+        raise ValueError("off-diagonal element exceeds the positivity bound")
+    populations = np.zeros((cutoff + 1, cutoff + 1))
+    populations[index.n_a, index.n_b] = pop
+    return populations
+
+
 class TwoModeDensityMatrix:
     """Hermitian, unit-trace density matrix on total numbers n_a + n_b <= cutoff.
 
@@ -218,12 +282,20 @@ class TwoModeDensityMatrix:
     above the cutoff, are not representable.
 
     The constructor takes ``blocks`` as cutoff + 1 square arrays of sizes
-    1..cutoff+1 and enforces finite entries, Hermiticity, unit trace, a real
-    nonnegative diagonal and the necessary positivity condition
-    |rho_ij|^2 <= rho_ii * rho_jj, each over all blocks at once.
+    1..cutoff+1, concatenates them into one store and enforces finite
+    entries, Hermiticity, unit trace, a real nonnegative diagonal and the
+    necessary positivity condition |rho_ij|^2 <= rho_ii * rho_jj, each over
+    the whole store at once (``_checked_populations``).  The library's own
+    producers hand their concatenated store to the same checks through
+    ``_from_store``.  Besides the store, an instance keeps its
+    (cutoff+1)^2 populations; ``blocks`` are views of the store, made on
+    first access.  The checks read the per-cutoff ``_block_index`` (12 bytes
+    per stored element, last 8 cutoffs cached) and keep their temporaries in
+    one scratch buffer per thread, 24 bytes per stored element, retained up
+    to ``SCRATCH_BYTES`` (8 MiB, stores up to cutoff 100).
     """
 
-    __slots__ = ("cutoff", "blocks", "_flat", "_populations")
+    __slots__ = ("cutoff", "_flat", "_populations", "_blocks")
 
     def __init__(self, cutoff: int, blocks):
         if cutoff < 0:
@@ -232,34 +304,32 @@ class TwoModeDensityMatrix:
         if [np.shape(b) for b in blocks] != [(n, n) for n in range(1, cutoff + 2)]:
             raise ValueError(f"sector blocks do not match cutoff {cutoff}")
         flat = np.asarray(np.concatenate([np.ravel(b) for b in blocks]), dtype=complex)
-        if not np.isfinite(flat.view(float)).all():
-            raise ValueError("density matrix entries must be finite")
-        index = _block_index(cutoff)
-        skew = np.take(flat, index.transpose)
-        np.conjugate(skew, out=skew)
-        np.subtract(flat, skew, out=skew)
-        if np.max(np.abs(skew)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        diag = flat[index.diag]
-        if np.max(np.abs(diag.imag)) > 1e-12 or np.min(diag.real) < -1e-12:
-            raise ValueError("diagonal must be real and nonnegative")
-        trace = float(diag.real.sum())
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1 within 1e-10, got {trace!r}")
-        pop = np.maximum(diag.real, 0.0)
-        bound = np.take(pop, index.row)
-        bound *= np.take(pop, index.col)
-        bound += EQ_TOL
-        if np.any(np.abs(flat) ** 2 > bound):
-            raise ValueError("off-diagonal element exceeds the positivity bound")
-        populations = np.zeros((cutoff + 1, cutoff + 1))
-        populations[index.n_a, index.n_b] = pop
+        self._take_store(cutoff, flat)
+
+    @classmethod
+    def _from_store(cls, cutoff: int, flat: np.ndarray) -> "TwoModeDensityMatrix":
+        """The density matrix whose concatenated store is ``flat`` (complex,
+        sum (N+1)^2 entries), checked as the constructor checks blocks.  It
+        takes the array over without a copy and makes it read-only."""
+        rho = cls.__new__(cls)
+        rho._take_store(cutoff, flat)
+        return rho
+
+    def _take_store(self, cutoff: int, flat: np.ndarray) -> None:
+        populations = _checked_populations(cutoff, flat)
         for arr in (flat, populations):
             arr.setflags(write=False)
         self.cutoff = cutoff
-        self.blocks = tuple(_split_blocks(flat, cutoff))
         self._flat = flat
         self._populations = populations
+        self._blocks = None
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The sector blocks N = 0..cutoff as read-only views of the store."""
+        if self._blocks is None:
+            self._blocks = tuple(_split_blocks(self._flat, self.cutoff))
+        return self._blocks
 
     @property
     def entries(self) -> np.ndarray:
@@ -374,49 +444,60 @@ def _as_monomial(mono) -> OperatorMonomial:
     return OperatorMonomial(*mono)
 
 
-def _ladder_weights(n_a: np.ndarray, n_b: np.ndarray, mono: OperatorMonomial) -> np.ndarray:
+def _ladder_weights(n_a: np.ndarray, n_b: np.ndarray, p, q, r, s) -> np.ndarray:
     """<n_a - r + p, n_b - s + q| (a^dag)^p (b^dag)^q a^r b^s |n_a, n_b> for
     n_a >= r and n_b >= s, through log factorials: the square root of
     n_a! (n_a - r + p)! n_b! (n_b - s + q)! / ((n_a - r)! (n_b - s)!)^2."""
-    lowered_a = log_factorial(n_a - mono.r)
-    lowered_b = log_factorial(n_b - mono.s)
+    lowered_a = log_factorial(n_a - r)
+    lowered_b = log_factorial(n_b - s)
     return np.exp(
         0.5
         * (
             log_factorial(n_a)
             - lowered_a
-            + log_factorial(n_a - mono.r + mono.p)
+            + log_factorial(n_a - r + p)
             - lowered_a
             + log_factorial(n_b)
             - lowered_b
-            + log_factorial(n_b - mono.s + mono.q)
+            + log_factorial(n_b - s + q)
             - lowered_b
         )
     )
 
 
-def _pure_moment(state: FixedNState, mono: OperatorMonomial) -> complex:
-    # Number conservation: (p - r) extra quanta in a must balance (s - q)
-    # removed from b, otherwise the expectation vanishes identically.
-    if mono.p - mono.r != mono.s - mono.q:
-        return 0j
-    n_tot = state.total_number
-    d = state.amplitudes
-    m = np.arange(n_tot + 1)
-    m = m[(m >= mono.s) & (n_tot - m >= mono.r)]
-    mb = m - mono.s + mono.q  # bra index after the monomial acts
-    return complex(np.sum(np.conj(d[mb]) * d[m] * _ladder_weights(n_tot - m, m, mono)))
+def _moments(state: State, monos: Sequence[OperatorMonomial]) -> np.ndarray:
+    """``moment(state, mono)`` for every monomial of ``monos``, each of which
+    must conserve the total number (p + q = r + s), in one pass.
 
-
-def _density_moment(state: TwoModeDensityMatrix, mono: OperatorMonomial) -> complex:
-    if mono.p + mono.q != mono.r + mono.s:
-        return 0j  # the monomial leaves the sector: no block element connects
-    # Within a sector the monomial moves n_b by q - s, i.e. the block column
-    # of a row by the same amount; the target stays inside the sector.
-    index = _block_index(state.cutoff)
-    use = (index.n_a >= mono.r) & (index.n_b >= mono.s)
-    values = state._flat[index.diag[use] + mono.q - mono.s]
-    return complex(np.sum(values * _ladder_weights(index.n_a[use], index.n_b[use], mono)))
+    A monomial acts on the states with n_a >= r and n_b >= s and moves n_b,
+    the sector row, by q - s, inside the sector.  One mask keeps the states
+    any of the monomials acts on; over them, one gather takes the element
+    each monomial reads and one (monomials, states) grid holds the ladder
+    weights, zero where a monomial annihilates the state.  For a single
+    monomial these are the elements and weights of its own states, summed
+    in the same order.
+    """
+    p, q, r, s = np.array([(m.p, m.q, m.r, m.s) for m in monos]).T[:, :, None]
+    if isinstance(state, FixedNState):
+        n_b = np.arange(state.total_number + 1)  # the amplitude index m
+        n_a = state.total_number - n_b
+    else:
+        index = _block_index(state.cutoff)
+        n_a, n_b = index.n_a, index.n_b
+    acts = (n_a >= r) & (n_b >= s)
+    use = acts.any(axis=0)
+    n_a, n_b, acts = n_a[use], n_b[use], acts[:, use]
+    if isinstance(state, FixedNState):
+        d = state.amplitudes
+        bra = np.take(d, n_b + q - s, mode="clip")  # the amplitude after the monomial acts
+        values = np.conj(bra) * d[n_b]
+    else:
+        values = np.take(state._flat, index.diag[use] + q - s, mode="clip")
+    # states a monomial annihilates get counts that keep every factorial
+    # finite, and weight 0
+    weights = _ladder_weights(np.where(acts, n_a, r), np.where(acts, n_b, s), p, q, r, s)
+    values *= np.where(acts, weights, 0.0)
+    return values.sum(axis=1)
 
 
 def moment(state: State, mono) -> complex:
@@ -427,9 +508,9 @@ def moment(state: State, mono) -> complex:
     complete.  A monomial that changes the total number gives exactly 0j.
     """
     mono = _as_monomial(mono)
-    if isinstance(state, FixedNState):
-        return _pure_moment(state, mono)
-    return _density_moment(state, mono)
+    if mono.p + mono.q != mono.r + mono.s:
+        return 0j
+    return complex(_moments(state, [mono])[0])
 
 
 def cross_moment(state: State, n: int) -> complex:
@@ -670,8 +751,9 @@ def _difference_distribution(grid: np.ndarray) -> dict[int, float]:
 def to_density_matrix(state: FixedNState) -> TwoModeDensityMatrix:
     """Rank-1 density matrix of a fixed-N pure state, cutoff = N."""
     n_tot = state.total_number
-    flat = np.zeros(_block_index(n_tot).starts[-1], dtype=complex)
-    blocks = _split_blocks(flat, n_tot)
-    np.outer(state.amplitudes, state.amplitudes.conj(), out=blocks[-1])
-    return TwoModeDensityMatrix(n_tot, blocks)
+    starts = _block_index(n_tot).starts
+    flat = np.zeros(starts[-1], dtype=complex)
+    top = flat[starts[-2] :].reshape(n_tot + 1, n_tot + 1)
+    np.outer(state.amplitudes, state.amplitudes.conj(), out=top)
+    return TwoModeDensityMatrix._from_store(n_tot, flat)
 

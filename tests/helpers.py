@@ -14,7 +14,7 @@ from noon_coherence import (
     evolve,
     normalization,
 )
-from noon_coherence.channels import LossSetting
+from noon_coherence.channels import LossSetting, _damping_transfer, _log_pow
 from noon_coherence.dynamics import (
     DEGENERACY_FLOOR_ULPS,
     JosephsonSystem,
@@ -24,6 +24,7 @@ from noon_coherence.dynamics import (
 from noon_coherence.fock import (
     OperatorMonomial,
     SchwingerMoments,
+    _difference_distribution,
     _sector_j_theta_power,
     _sector_jx,
     _sector_jy,
@@ -33,7 +34,7 @@ from noon_coherence.fock import (
     log_factorial,
     moment,
 )
-from noon_coherence.interferometry import _mode_generator
+from noon_coherence.interferometry import QuadratureMoments, _mode_generator
 
 
 def random_fixed_state(total_number: int, rng: np.random.Generator) -> FixedNState:
@@ -78,6 +79,13 @@ def reference_kraus_weights(eta: float, dim: int, k: int) -> np.ndarray:
     )
 
 
+def kraus_operators(eta: float, dim: int) -> list[np.ndarray]:
+    """All Kraus operators K_k, k = 0..dim-1, of the single-mode loss channel
+    on ``dim`` levels as dense matrices, <i|K_k|i+k> from exact binomials:
+    the dense Kraus reference for the loss channel."""
+    return [np.diag(reference_kraus_weights(eta, dim, k), k).astype(complex) for k in range(dim)]
+
+
 def _reference_damp_mode(blocks: list[np.ndarray], eta: float, mode_b: bool) -> list[np.ndarray]:
     """Apply the single-mode channel to mode a (or b) of the complete sector
     blocks N = 0..cutoff.  Losing k quanta maps the rows and columns of
@@ -106,6 +114,79 @@ def reference_apply_loss(rho: TwoModeDensityMatrix, loss: LossSetting) -> list[n
     blocks = _reference_damp_mode(list(rho.blocks), loss.eta_a, mode_b=False)
     blocks = _reference_damp_mode(blocks, loss.eta_b, mode_b=True)
     return [(block + block.conj().T) / 2.0 for block in blocks]
+
+
+def reference_transfer_tables(eta: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus table A[i, j] = sqrt(T[i, j]) and the transfer matrix
+    T[i, j] = C(j, i) eta^i (1-eta)^(j-i), evaluated in log space on the
+    gathered cells i <= j only, and zero below the diagonal: the reference
+    the strided-view tables of ``channels`` must match bit for bit."""
+    i, j = np.triu_indices(dim)
+    log_binom = log_factorial(j) - log_factorial(i) - log_factorial(j - i)
+    log_t = log_binom + _log_pow(eta, i) + _log_pow(1.0 - eta, j - i)
+    kraus, transfer = np.zeros((dim, dim)), np.zeros((dim, dim))
+    kraus[i, j] = np.exp(0.5 * log_t)
+    transfer[i, j] = np.exp(log_t)
+    return kraus, transfer
+
+
+def reference_lossy_number_distribution(state: FixedNState, loss: LossSetting) -> dict[int, float]:
+    """P(n_a - n_b) after loss with both transfer matrices applied as full
+    products to the joint input grid: the reference for
+    ``lossy_number_distribution``."""
+    n_tot = state.total_number
+    dim = n_tot + 1
+    m = np.arange(dim)
+    joint = np.zeros((dim, dim))
+    joint[n_tot - m, m] = state.probabilities()
+    joint = _damping_transfer(loss.eta_a, dim) @ joint
+    joint = joint @ _damping_transfer(loss.eta_b, dim).T
+    return _difference_distribution(joint)
+
+
+def reference_mode_transform_density(rho: TwoModeDensityMatrix, u: np.ndarray) -> list[np.ndarray]:
+    """The rotated blocks R_N rho_N R_N^dag, one sector at a time with the
+    complex-eigh sector matrices of ``reference_sector_unitary``, each then
+    symmetrized: the reference for ``mode_transform_density``."""
+    blocks = []
+    for total, block in enumerate(rho.blocks):
+        rotation = reference_sector_unitary(total, u)
+        rotated = rotation @ block @ rotation.conj().T
+        blocks.append((rotated + rotated.conj().T) / 2.0)
+    return blocks
+
+
+def reference_quadrature_moments(state) -> QuadratureMoments:
+    """The quadrature moments from 14 separate ``moment`` calls, one per
+    monomial: the reference for the one-pass ``QuadratureMoments.from_state``."""
+
+    def mom(p, q, r, s):
+        return moment(state, (p, q, r, s))
+
+    ab, abd = mom(0, 0, 1, 1), mom(0, 1, 1, 0)
+    adb, adbd = mom(1, 0, 0, 1), mom(1, 1, 0, 0)
+    m22, mx = mom(0, 0, 2, 2), mom(0, 2, 2, 0)
+    my, mz = mom(2, 0, 0, 2), mom(2, 2, 0, 0)
+    a2, ad2, na = mom(0, 0, 2, 0), mom(2, 0, 0, 0), mom(1, 0, 1, 0)
+    b2, bd2, nb = mom(0, 0, 0, 2), mom(0, 2, 0, 0), mom(0, 1, 0, 1)
+    return QuadratureMoments(
+        xx=((ab + abd + adb + adbd) / 4.0).real,
+        pp=(-(ab - abd - adb + adbd) / 4.0).real,
+        xp=((ab - abd + adb - adbd) / 4j).real,
+        px=((ab + abd - adb - adbd) / 4j).real,
+        dd=((m22 + mx + my + mz) / 4.0).real,
+        aa=(-(m22 - mx - my + mz) / 4.0).real,
+        ad=((m22 + mx - my - mz) / 4j).real,
+        da=((m22 - mx + my - mz) / 4j).real,
+        x2_a=((a2 + ad2 + 2.0 * na + 1.0) / 4.0).real,
+        p2_a=((-a2 - ad2 + 2.0 * na + 1.0) / 4.0).real,
+        xp_anti_a=((a2 - ad2) / 2j).real,
+        x2_rot_a=((-1j * a2 + 1j * ad2 + 2.0 * na + 1.0) / 4.0).real,
+        x2_b=((b2 + bd2 + 2.0 * nb + 1.0) / 4.0).real,
+        p2_b=((-b2 - bd2 + 2.0 * nb + 1.0) / 4.0).real,
+        xp_anti_b=((b2 - bd2) / 2j).real,
+        x2_rot_b=((-1j * b2 + 1j * bd2 + 2.0 * nb + 1.0) / 4.0).real,
+    )
 
 
 def reference_density_schwinger(rho: TwoModeDensityMatrix, angles=()) -> SchwingerMoments:

@@ -26,16 +26,20 @@ from noon_coherence import (
     spread,
     to_density_matrix,
 )
-from noon_coherence.channels import kraus_operators, lossy_number_distribution
+from noon_coherence import channels
+from noon_coherence.channels import lossy_number_distribution
 from noon_coherence.interferometry import beam_splitter_matrix
 from noon_coherence.states import make_binomial_splitter, make_noon
 
 from helpers import (
     close,
+    kraus_operators,
     random_fixed_state,
     random_mixture,
     reference_apply_loss,
     reference_density_schwinger,
+    reference_lossy_number_distribution,
+    reference_transfer_tables,
 )
 
 TRANSMISSIONS = (0.0, 0.3, 0.55, 1.0)
@@ -269,3 +273,28 @@ def test_lossy_distribution_matches_full_channel():
         for diff, prob in fast.items():
             assert close(prob, float(grid[na - nb == diff].sum()), tol=1e-12)
         assert close(sum(fast.values()), 1.0, tol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 41, 501])
+def test_loss_tables_match_the_gathered_reference_bitwise(dim):
+    for eta in (0.0, 0.123456789, 0.3, 0.5, 0.8, 1.0):
+        kraus, transfer = reference_transfer_tables(eta, dim)
+        assert np.array_equal(channels._kraus_table(eta, dim).view(np.uint64), kraus.view(np.uint64))
+        assert np.array_equal(channels._damping_transfer(eta, dim).view(np.uint64), transfer.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_tot", [50, 100, 500])
+def test_lossy_distribution_matches_the_two_product_reference_bitwise(n_tot):
+    states = (
+        make_noon(n_tot, 0.3),
+        make_binomial_splitter(n_tot),
+        random_fixed_state(n_tot, np.random.default_rng(n_tot)),
+    )
+    for state in states:
+        for loss in (LossSetting(0.8, 0.6), LossSetting.uniform(0.9), LossSetting(1.0, 0.0)):
+            fast = lossy_number_distribution(state, loss)
+            reference = reference_lossy_number_distribution(state, loss)
+            assert list(fast) == list(reference)
+            assert [np.float64(v).tobytes() for v in fast.values()] == [
+                np.float64(v).tobytes() for v in reference.values()
+            ]

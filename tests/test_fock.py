@@ -15,6 +15,7 @@ from noon_coherence import (
     to_density_matrix,
 )
 from noon_coherence.channels import LossSetting, apply_loss, lossy_number_distribution
+from noon_coherence import fock
 from noon_coherence.fock import log_factorial
 from noon_coherence.interferometry import beam_splitter_matrix, mode_transform_density
 from noon_coherence.states import make_binomial_splitter, make_noon, make_number_pair
@@ -36,11 +37,9 @@ def test_fixed_n_state_validates_normalization():
         FixedNState(2, np.array([1.0, 0.0]))  # wrong length
 
 
-def test_density_matrix_validation():
-    rho = random_mixture(3, np.random.default_rng(4))
-    rebuilt = TwoModeDensityMatrix(rho.cutoff, rho.blocks)
-    assert len(rebuilt.blocks) == len(rho.blocks)
-    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.blocks, rho.blocks))
+def _invalid_content(rho):
+    """(blocks, message) pairs: copies of rho's blocks with right shapes and
+    wrong content, and the ValueError message each must raise."""
 
     def variant(change):
         blocks = [block.copy() for block in rho.blocks]
@@ -65,27 +64,47 @@ def test_density_matrix_validation():
         blocks[3][0, 3] = 1.01 * np.sqrt(pop[0] * pop[3]) + 1e-3
         blocks[3][3, 0] = np.conj(blocks[3][0, 3])
 
-    def reshape(blocks):
-        blocks[1] = np.zeros((3, 3))
-
     def not_finite(value, row, col):
         def change(blocks):
             blocks[2][row, col] = value
 
         return change
 
-    cases = [
+    def infinite_pair(value):
+        # an infinite pair is "Hermitian" but not finite
+        def change(blocks):
+            blocks[3][0, 3] = blocks[3][3, 0] = value
+
+        return change
+
+    return [
         (variant(skew), "not Hermitian"),
         (variant(scale), "trace must be 1"),
         (variant(negative), "real and nonnegative"),
         (variant(above_bound), "positivity bound"),
-        (list(rho.blocks[:-1]), "do not match cutoff"),
-        (list(rho.blocks) + [np.zeros((5, 5))], "do not match cutoff"),
-        (variant(reshape), "do not match cutoff"),
         (variant(not_finite(np.nan, 1, 1)), "must be finite"),
         (variant(not_finite(np.inf, 0, 2)), "must be finite"),
         (variant(not_finite(complex(0.1, -np.inf), 2, 0)), "must be finite"),
         (variant(not_finite(complex(np.nan, 0.0), 0, 1)), "must be finite"),
+        (variant(infinite_pair(np.inf)), "must be finite"),
+        (variant(infinite_pair(-np.inf)), "must be finite"),
+    ]
+
+
+def test_density_matrix_validation():
+    rho = random_mixture(3, np.random.default_rng(4))
+    rebuilt = TwoModeDensityMatrix(rho.cutoff, rho.blocks)
+    assert len(rebuilt.blocks) == len(rho.blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.blocks, rho.blocks))
+
+    def reshape(blocks):
+        blocks[1] = np.zeros((3, 3))
+        return blocks
+
+    cases = _invalid_content(rho) + [
+        (list(rho.blocks[:-1]), "do not match cutoff"),
+        (list(rho.blocks) + [np.zeros((5, 5))], "do not match cutoff"),
+        (reshape(list(rho.blocks)), "do not match cutoff"),
     ]
     for blocks, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -94,11 +113,44 @@ def test_density_matrix_validation():
         TwoModeDensityMatrix(-1, [])
     with pytest.raises(ValueError, match="must be finite"):
         TwoModeDensityMatrix(1, [[[np.nan]], np.zeros((2, 2))])
-    for value in (np.inf, -np.inf):  # an infinite pair is "Hermitian" but not finite
-        blocks = [block.copy() for block in rho.blocks]
-        blocks[3][0, 3] = blocks[3][3, 0] = value
-        with pytest.raises(ValueError, match="must be finite"):
+
+
+@pytest.mark.parametrize("scratch_bytes", [fock.SCRATCH_BYTES, 0])
+def test_store_path_checks_as_the_block_constructor(monkeypatch, scratch_bytes):
+    # The library's producers hand a concatenated store to the same checks;
+    # with the scratch bound at 0 every check runs on a buffer of its own.
+    monkeypatch.setattr(fock, "SCRATCH_BYTES", scratch_bytes)
+    rho = random_mixture(3, np.random.default_rng(4))
+    for blocks, message in _invalid_content(rho):
+        store = np.concatenate([block.ravel() for block in blocks]).astype(complex)
+        with pytest.raises(ValueError, match=message):
+            TwoModeDensityMatrix._from_store(3, store)
+        with pytest.raises(ValueError, match=message):
             TwoModeDensityMatrix(3, blocks)
+    store = np.concatenate([block.ravel() for block in rho.blocks])
+    taken = TwoModeDensityMatrix._from_store(3, store)
+    assert taken._flat is store and not store.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip(taken.blocks, rho.blocks))
+    assert np.array_equal(taken.diagonal_probabilities(), rho.diagonal_probabilities())
+
+
+def test_library_producers_use_the_store_checks(monkeypatch):
+    checked = []
+    exact = fock._checked_populations
+
+    def counting(cutoff, flat):
+        checked.append(cutoff)
+        return exact(cutoff, flat)
+
+    def no_blocks(*args):
+        raise AssertionError("the block constructor was called")
+
+    monkeypatch.setattr(fock, "_checked_populations", counting)
+    monkeypatch.setattr(TwoModeDensityMatrix, "__init__", no_blocks)
+    rho = to_density_matrix(make_noon(5))
+    lossy = apply_loss(rho, LossSetting(0.7, 0.9))
+    mode_transform_density(lossy, beam_splitter_matrix(0.4))
+    assert checked == [5, 5, 5]
 
 
 def test_monomial_validation():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,9 @@ from noon_coherence import (
     to_density_matrix,
 )
 from noon_coherence import interferometry
+from noon_coherence.channels import LossSetting, apply_loss
 from noon_coherence.interferometry import QuadratureMoments, beam_splitter_matrix
-from noon_coherence.fock import FixedNState
+from noon_coherence.fock import FixedNState, TwoModeDensityMatrix
 from noon_coherence.states import (
     make_binomial_splitter,
     make_embedded_cat,
@@ -32,7 +36,14 @@ from noon_coherence.states import (
 
 from noon_coherence.tolerances import EQ_TOL
 
-from helpers import close, random_fixed_state, random_mixture, reference_sector_unitary
+from helpers import (
+    close,
+    random_fixed_state,
+    random_mixture,
+    reference_mode_transform_density,
+    reference_quadrature_moments,
+    reference_sector_unitary,
+)
 
 
 def test_rotate_single_photon():
@@ -99,11 +110,23 @@ def test_mode_transform_norm_drift_is_numerical(monkeypatch):
 def test_mode_transform_density_norm_drift_is_numerical(monkeypatch):
     # A rotated sector block whose trace drifts is a numerical failure
     # (exit 3), not a density matrix rejected as invalid input (exit 2).
-    exact = interferometry._sector_exponential
-    monkeypatch.setattr(
-        interferometry, "_sector_exponential", lambda n, k: 1.001 * exact(n, k)
-    )
-    with pytest.raises(NumericalError):
+    # The bases of sectors 3 and up are scaled, so their traces drift; the
+    # mixture's lowest such sector is N = 4 (sectors 0 and 2 stay exact).
+    exact = interferometry._jx_bases
+
+    def drifting(first, last):
+        scale = np.where(np.arange(first, last + 1) >= 3, 1.001, 1.0)
+        return exact(first, last) * scale[:, None, None]
+
+    monkeypatch.setattr(interferometry, "_jx_bases", drifting)
+    blocks = [np.zeros((n + 1, n + 1), dtype=complex) for n in range(10)]
+    for total, weight in ((2, 0.3), (4, 0.3), (9, 0.4)):
+        amps = random_fixed_state(total, np.random.default_rng(total)).amplitudes
+        blocks[total] += weight * np.outer(amps, amps.conj())
+    mixture = TwoModeDensityMatrix(9, blocks)
+    with pytest.raises(NumericalError, match="sector N=4 "):
+        mode_transform_density(mixture, beam_splitter_matrix(0.3))
+    with pytest.raises(NumericalError, match="sector N=6 "):
         mode_transform_density(to_density_matrix(make_noon(6)), beam_splitter_matrix(0.3))
 
 
@@ -345,3 +368,165 @@ def test_noon_two_photon_fringe_component():
     phases = 2 * np.pi * np.arange(32) / 32
     coeff = np.sum(values * np.exp(-2j * phases)) / 32
     assert close(coeff, cross_moment(state, 2) / 4.0)
+
+
+def _rotations(rng):
+    """Mode maps with K_ab real positive, real negative and complex, and a
+    50/50 splitter with a seeded phase."""
+    size = rng.uniform(0.2, 1.4)
+    couplings = (size, -size, size * np.exp(1j * rng.uniform(0.1, 3.0)))
+    maps = [_unitary_from_generator(rng, c) for c in couplings]
+    return maps + [beam_splitter_matrix(float(rng.uniform(0, 2 * np.pi)))]
+
+
+@pytest.mark.parametrize("cutoff", [12, 20, 40])
+def test_density_rotation_matches_the_sector_loop(cutoff):
+    rng = np.random.default_rng(300 + cutoff)
+    loss = LossSetting(0.8, 0.65)
+    states = [
+        apply_loss(to_density_matrix(make_noon(cutoff, 0.7)), loss),
+        apply_loss(to_density_matrix(make_embedded_cat(cutoff // 4, cutoff, 1.3)), loss),
+        random_mixture(cutoff, rng, components=5),
+    ]
+    for rho in states:
+        for u in _rotations(rng):
+            rotated = mode_transform_density(rho, u)
+            reference = reference_mode_transform_density(rho, u)
+            assert max(np.max(np.abs(a - b)) for a, b in zip(rotated.blocks, reference)) < 1e-13
+
+
+def test_rotations_from_a_cold_cache_equal_repeated_calls():
+    rng = np.random.default_rng(71)
+    rho = random_mixture(20, rng, components=4)
+    state = random_fixed_state(500, rng)
+    u = _rotations(rng)[2]
+
+    def run():
+        return (
+            mode_transform_density(rho, u)._flat,
+            interferometry.sector_unitary(500, u),
+            binned_probability_scan(state, 240, 64).probabilities,
+        )
+
+    interferometry._basis_cache.clear()
+    interferometry._rotation_index.cache_clear()
+    cold = run()
+    assert interferometry._basis_cache
+    for first, again in zip(cold, run()):
+        assert np.array_equal(first, again)
+
+
+def test_cached_rotations_solve_no_eigenproblem(monkeypatch):
+    rng = np.random.default_rng(72)
+    rho = random_mixture(12, rng)
+    state = random_fixed_state(100, rng)
+    u = beam_splitter_matrix(0.9)
+
+    def run():
+        mode_transform_density(rho, u)
+        mode_transform(state, u)
+        binned_probability_scan(state, 50, 64)
+        cross_moment_scan(state, 2, 64)
+
+    run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on a cached basis")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    run()
+
+
+def test_basis_cache_stays_within_its_byte_bound(monkeypatch):
+    u = beam_splitter_matrix(0.2)
+    monkeypatch.setattr(interferometry, "BASIS_CACHE_BYTES", 100_000)
+    interferometry._basis_cache.clear()
+    interferometry.sector_unitary(100, u)  # 101^2 * 8 = 81,608 bytes
+    interferometry.sector_unitary(20, u)  # 3,528 bytes
+    interferometry.sector_unitary(150, u)  # 182,408 bytes: built, not kept
+    assert list(interferometry._basis_cache) == [(100, 100), (20, 20)]
+    monkeypatch.setattr(interferometry, "BASIS_CACHE_BYTES", 90_000)
+    interferometry.sector_unitary(60, u)  # 29,768 bytes: the oldest goes
+    assert list(interferometry._basis_cache) == [(20, 20), (60, 60)]
+    interferometry.sector_unitary(20, u)  # a hit becomes the most recent
+    assert list(interferometry._basis_cache) == [(60, 60), (20, 20)]
+    assert sum(b.nbytes for b in interferometry._basis_cache.values()) <= 90_000
+    interferometry._basis_cache.clear()
+
+
+@pytest.mark.parametrize("cutoff", [6, 12, 20])
+def test_one_pass_quadratures_equal_separate_moments(cutoff):
+    rng = np.random.default_rng(400 + cutoff)
+    loss = LossSetting(0.75, 0.9)
+    states = [
+        random_fixed_state(cutoff, rng),
+        make_binomial_splitter(cutoff),
+        make_embedded_cat(cutoff // 3, cutoff, 0.4),
+        random_mixture(cutoff, rng, components=4),
+        apply_loss(to_density_matrix(make_embedded_cat(cutoff // 3, cutoff, 0.4)), loss),
+        apply_loss(to_density_matrix(random_fixed_state(cutoff, rng)), loss),
+    ]
+    for state in states:
+        got = QuadratureMoments.from_state(state)
+        want = reference_quadrature_moments(state)
+        for name, value in vars(want).items():
+            assert close(getattr(got, name), value, tol=EQ_TOL), name
+
+
+def _run_threads(work, count=8, timeout=120):
+    """Run ``work(seed)`` in ``count`` threads with a short switch interval
+    and return the exceptions they raised."""
+    errors = []
+
+    def guarded(seed):
+        try:
+            work(seed)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded, args=(seed,)) for seed in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def test_basis_cache_holds_under_threads(monkeypatch):
+    # Eight threads share the basis cache, which holds about two of these
+    # small stacks, so nearly every call evicts; without the cache's lock
+    # the eviction loop sees the dict change under it.
+    monkeypatch.setattr(interferometry, "BASIS_CACHE_BYTES", 600)
+    expected = {n: interferometry._jx_bases(n, n) for n in range(1, 7)}
+
+    def work(seed):
+        for n in np.random.default_rng(seed).integers(1, 7, 3000):
+            assert np.max(np.abs(interferometry._jx_bases(int(n), int(n)) - expected[n])) < 1e-12
+
+    errors = _run_threads(work)
+    assert not errors, errors[0]
+    assert sum(b.nbytes for b in interferometry._basis_cache.values()) <= 600
+    interferometry._basis_cache.clear()
+
+
+def test_constructor_checks_hold_under_threads():
+    # Each thread checks valid and non-Hermitian stores at cutoff 40 in turn;
+    # a scratch buffer shared between threads would mix their temporaries.
+    valid = to_density_matrix(make_noon(40, 0.3))
+    skewed = [block.copy() for block in valid.blocks]
+    skewed[40][0, 40] += 0.01
+
+    def work(seed):
+        for _ in range(150):
+            TwoModeDensityMatrix(40, valid.blocks)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                TwoModeDensityMatrix(40, skewed)
+
+    errors = _run_threads(work)
+    assert not errors, errors[0]
