@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
@@ -108,7 +107,7 @@ class FixedNState:
     """Pure two-mode state with a fixed total particle number.
 
     amplitudes[m] multiplies |N-m>_a |m>_b, i.e. the index counts quanta in
-    mode b.  The vector must be normalized at construction; use
+    mode b.  The vector must be finite and normalized at construction; use
     ``from_amplitudes`` to normalize raw coefficients.
     """
 
@@ -123,6 +122,8 @@ class FixedNState:
             raise ValueError(
                 f"expected {self.total_number + 1} amplitudes, got shape {amps.shape}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized: sum |d|^2 = {norm!r}")
@@ -133,6 +134,8 @@ class FixedNState:
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "FixedNState":
         """Build a state from raw coefficients, normalizing exactly."""
         amps = np.asarray(amplitudes, dtype=complex)
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if norm == 0.0:
             raise ValueError("cannot normalize a zero amplitude vector")
@@ -209,26 +212,6 @@ def _split_blocks(flat: np.ndarray, cutoff: int) -> list[np.ndarray]:
     ]
 
 
-# Largest scratch buffer, in bytes, that the density-matrix checks keep per
-# thread between calls: 24 bytes per stored element, so stores up to cutoff
-# 100 (8.4 MB) reuse one buffer; larger ones get a buffer for the call.
-SCRATCH_BYTES = 8 * 2**20
-
-_scratch = threading.local()
-
-
-def _scratch_buffer(count: int) -> np.ndarray:
-    """``count`` float64 scratch entries; up to ``SCRATCH_BYTES`` they come
-    from one buffer kept by the calling thread, so repeated checks touch no
-    fresh pages."""
-    if 8 * count > SCRATCH_BYTES:
-        return np.empty(count)
-    buffer = getattr(_scratch, "buffer", None)
-    if buffer is None or len(buffer) < count:
-        buffer = _scratch.buffer = np.empty(count)
-    return buffer[:count]
-
-
 def _checked_populations(cutoff: int, flat: np.ndarray) -> np.ndarray:
     """Check the concatenated store of a density matrix at ``cutoff`` and
     return its populations as a (cutoff+1, cutoff+1) grid [n_a, n_b].
@@ -236,21 +219,19 @@ def _checked_populations(cutoff: int, flat: np.ndarray) -> np.ndarray:
     Raises ValueError unless the entries are finite, the blocks Hermitian
     within 1e-12, the diagonal real and nonnegative (within 1e-12), the
     trace 1 within 1e-10 and every |rho_ij|^2 at most rho_ii rho_jj + EQ_TOL,
-    checked in that order.  The Hermiticity and positivity temporaries live
-    in one scratch buffer of 24 bytes per element (``_scratch_buffer``).
+    checked in that order.
     """
     if not np.isfinite(flat.view(float)).all():
         raise ValueError("density matrix entries must be finite")
     index = _block_index(cutoff)
     count = len(flat)
-    scratch = _scratch_buffer(3 * count)
-    skew = scratch[: 2 * count].view(complex)
-    magnitude = scratch[2 * count :]
-    # indices in range: mode="clip" spares np.take's buffered copy for out=
-    np.take(flat, index.transpose, out=skew, mode="clip")
+    # indices in range: mode="clip" skips np.take's bounds check (and, with
+    # out=, its buffered copy)
+    skew = np.take(flat, index.transpose, mode="clip")
     np.conjugate(skew, out=skew)
     np.subtract(flat, skew, out=skew)
-    if np.abs(skew, out=magnitude).max() > 1e-12:
+    magnitude = np.abs(skew)
+    if magnitude.max() > 1e-12:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     diag = flat[index.diag]
     if np.max(np.abs(diag.imag)) > 1e-12 or np.min(diag.real) < -1e-12:
@@ -259,7 +240,8 @@ def _checked_populations(cutoff: int, flat: np.ndarray) -> np.ndarray:
     if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"trace must be 1 within 1e-10, got {trace!r}")
     pop = np.maximum(diag.real, 0.0)
-    bound, other = scratch[:count], scratch[count : 2 * count]
+    # the positivity temporaries reuse the memory of skew
+    bound, other = skew.view(float)[:count], skew.view(float)[count:]
     np.take(pop, index.row, out=bound, mode="clip")
     bound *= np.take(pop, index.col, out=other, mode="clip")
     bound += EQ_TOL
@@ -290,9 +272,7 @@ class TwoModeDensityMatrix:
     ``_from_store``.  Besides the store, an instance keeps its
     (cutoff+1)^2 populations; ``blocks`` are views of the store, made on
     first access.  The checks read the per-cutoff ``_block_index`` (12 bytes
-    per stored element, last 8 cutoffs cached) and keep their temporaries in
-    one scratch buffer per thread, 24 bytes per stored element, retained up
-    to ``SCRATCH_BYTES`` (8 MiB, stores up to cutoff 100).
+    per stored element, last 8 cutoffs cached).
     """
 
     __slots__ = ("cutoff", "_flat", "_populations", "_blocks")

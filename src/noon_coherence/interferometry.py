@@ -6,6 +6,12 @@ fringes, binned-count probability scans with their discrete Fourier content,
 and the routes that express the cross moments <(a^dag)^n b^n> through
 Schwinger-spin or quadrature measurements.
 
+Every mode map goes through one routine, ``_rotate_columns``, which applies
+its sector matrix to a stack of columns through the cached J_X eigenbasis:
+the amplitudes of a pure state, the occupied one-hot columns of a fringe
+scan, the phase-grid columns of a cross-moment scan, the blocks of a density
+matrix, and the identity's columns for ``sector_unitary``.
+
 The spin and quadrature identities are validated as operator-matrix
 equalities on a truncated Fock grid (with a margin so truncation cannot leak
 into the compared block); the third-order spin identity ships in the variant
@@ -29,7 +35,6 @@ from .fock import (
     TwoModeDensityMatrix,
     _block_index,
     _moments,
-    _sector_jz_values,
     annihilation_matrix,
     log_factorial,
     moment,
@@ -53,47 +58,26 @@ def beam_splitter_matrix(phi: float) -> np.ndarray:
     return np.array([[1.0, ph], [1.0, -ph]], dtype=complex) / np.sqrt(2.0)
 
 
-def _mode_generator(u: np.ndarray) -> np.ndarray:
-    """Hermitian K with U = exp(iK), from U = e^{i alpha} (cos t + i sin t n.sigma).
-
-    Raises ValueError unless U is a 2x2 unitary matrix.  The rotations do
-    not use K; it is the generator whose sector image the reference
-    construction in the tests exponentiates.
-    """
-    u = _checked_mode_map(u)
-    alpha = 0.5 * np.angle(np.linalg.det(u))
-    v = u * np.exp(-1j * alpha)  # in SU(2)
-    h = (v - v.conj().T) / 2j  # sin(t) n.sigma
-    sin_t = np.linalg.norm(h) / np.sqrt(2.0)
-    t = np.arctan2(sin_t, 0.5 * np.trace(v).real)
-    if sin_t == 0.0:  # v = +-1: no axis, all phase
-        return (alpha + t) * np.eye(2)
-    return alpha * np.eye(2) + (t / sin_t) * h
-
-
-def _checked_mode_map(u: np.ndarray) -> np.ndarray:
-    """U as a complex array; raises ValueError unless it is a 2x2 unitary."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > EQ_TOL:
-        raise ValueError("mode transform must be a 2x2 unitary matrix")
-    return u
-
-
 def _euler_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """(phi, alpha, beta, gamma) with U = e^{i phi} R_z(alpha) R_x(beta) R_z(gamma),
-    R_z(t) = exp(i t sigma_z / 2) and R_x(t) = exp(i t sigma_x / 2).
+    """(theta, alpha, beta, gamma) with U = e^{i phi} R_z(alpha) R_x(beta) R_z(gamma),
+    R_z(t) = exp(i t sigma_z / 2), R_x(t) = exp(i t sigma_x / 2) and
+    theta = phi + (alpha - beta + gamma)/2, the phase that U's sector matrix
+    takes per particle (``_Rotation``).
 
     With e^{-i phi} U = [[a, b], [-conj b, conj a]] in SU(2):
     a = cos(beta/2) e^{i (alpha + gamma)/2}, b = i sin(beta/2) e^{i (alpha - gamma)/2}.
     Where a or b vanishes only alpha + gamma or alpha - gamma is defined,
-    and the angle of 0 (zero) fixes the other.
+    and the angle of 0 (zero) fixes the other.  Raises ValueError unless U
+    is a 2x2 unitary matrix.
     """
-    u = _checked_mode_map(u)
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > EQ_TOL:
+        raise ValueError("mode transform must be a 2x2 unitary matrix")
     phi = 0.5 * float(np.angle(np.linalg.det(u)))
     a, b = u[0] * np.exp(-1j * phi)
     beta = 2.0 * float(np.arctan2(abs(b), abs(a)))
     total, difference = float(np.angle(a)), float(np.angle(b)) - np.pi / 2.0
-    return phi, total + difference, beta, total - difference
+    return phi + total - beta / 2.0, total + difference, beta, total - difference
 
 
 # Bytes of J_X eigenbases kept between calls.  One sector at N = 500 takes
@@ -153,46 +137,79 @@ def _solve_jx_bases(first: int, last: int) -> np.ndarray:
     return bases
 
 
-def _sector_columns(total_number: int, u: np.ndarray, columns=slice(None)) -> np.ndarray:
-    """Columns ``columns`` of ``sector_unitary(total_number, u)``."""
-    phi, alpha, beta, gamma = _euler_angles(u)
-    basis = _jx_bases(total_number, total_number)[0]
-    jz = _sector_jz_values(total_number)
-    # e^{i beta Lambda} V^T D_gamma on the chosen columns; complex and
-    # C-contiguous, so its float view holds the real and imaginary parts as
-    # interleaved columns: one real product with V gives the complex result.
-    right = np.multiply(
-        np.exp(-1j * beta * jz)[:, None], basis.T[:, columns], order="C"
-    )
-    right *= np.exp(1j * gamma * jz[columns])
-    rotation = (basis @ right.view(float)).view(complex)
-    rotation *= np.exp(1j * (total_number * phi + alpha * jz))[:, None]
-    return rotation
+class _Rotation(NamedTuple):
+    """The factors of a mode map's sector matrices
+    R_N = e^{i N theta} P_alpha V_N Q_beta V_N^T P_gamma: the phase per
+    particle theta and the vectors P_t = e^{-i t m} and Q_beta = e^{i beta j}
+    for m, j = 0..size-1 (``_rotation``), as columns.  They do not depend on
+    N; sector N uses their first N + 1 entries."""
+
+    theta: float
+    p_alpha: np.ndarray
+    q_beta: np.ndarray
+    p_gamma: np.ndarray
+
+
+def _rotation(u: np.ndarray, size: int) -> _Rotation:
+    """The ``_Rotation`` of U from its Euler angles (``_euler_angles``), for
+    sectors up to N = size - 1."""
+    theta, alpha, beta, gamma = _euler_angles(u)
+    steps = np.arange(size)
+    phases = np.exp(1j * np.multiply.outer((-alpha, beta, -gamma), steps))[:, :, None]
+    return _Rotation(theta, *phases)
+
+
+def _rotate_columns(first: int, last: int, rotation: _Rotation, columns: np.ndarray) -> np.ndarray:
+    """R_N x for every column x of a stack of sector columns.
+
+    ``columns`` holds, for each sector N = first..last, the columns of that
+    sector zero-padded to last + 1 rows: shape (last - first + 1, last + 1, k).
+    R_N comes from ``rotation`` and the cached J_X eigenbases V_N
+    (``_jx_bases``).  Each phase is a row scaling of a C-contiguous complex
+    stack, whose float view holds the real and imaginary parts as
+    interleaved columns, so each V product is one real batched product.
+    The factor e^{i N theta} is skipped where theta is 0.  Returns a new
+    array of the same shape.
+    """
+    side = last + 1
+    bases = _jx_bases(first, last)
+    x = np.multiply(rotation.p_gamma[:side], columns, order="C")
+    x = (bases.transpose(0, 2, 1) @ x.view(float)).view(complex)
+    x *= rotation.q_beta[:side]
+    x = (bases @ x.view(float)).view(complex)
+    x *= rotation.p_alpha[:side]
+    if rotation.theta:
+        x *= np.exp(1j * rotation.theta * np.arange(first, side))[:, None, None]
+    return x
 
 
 def sector_unitary(total_number: int, u: np.ndarray) -> np.ndarray:
     """Matrix of the mode map (c, d) = U (a, b) on the fixed-N sector.
 
-    Column m holds |N-m>_a |m>_b written in the |N-j>_c |j>_d basis.  With
-    U = e^{i phi} R_z(alpha) R_x(beta) R_z(gamma) (``_euler_angles``) the
-    matrix is e^{i N phi} D_alpha V_N e^{i beta Lambda_N} V_N^T D_gamma: the D
-    are the diagonal phases e^{i t J_Z}, Lambda_N = diag(j - N/2) is the
-    exact spectrum of J_X, and V_N its real eigenbasis, taken from a cache
-    (``_jx_bases``; 8 (N+1)^2 bytes per sector, 2.0 MB at N = 500).  No
-    eigensolver runs once V_N is cached, and the result is unitary to
-    rounding for any N.
+    Column m holds |N-m>_a |m>_b written in the |N-j>_c |j>_d basis: the
+    rotation of the identity's columns (``_rotate_columns``), which writes the
+    matrix as e^{i N theta} P_alpha V_N Q_beta V_N^T P_gamma from the Euler
+    angles of U and the J_X eigenbasis V_N, taken from a cache (``_jx_bases``;
+    8 (N+1)^2 bytes per sector, 2.0 MB at N = 500).  No eigensolver runs once
+    V_N is cached, and the result is unitary to rounding for any N.  No
+    library path needs the matrix; the rotations apply R_N to columns.
     """
-    return _sector_columns(total_number, u)
+    identity = np.eye(total_number + 1, dtype=complex)[None]
+    rotation = _rotation(u, total_number + 1)
+    return _rotate_columns(total_number, total_number, rotation, identity)[0]
 
 
 def mode_transform(state: FixedNState, u: np.ndarray) -> FixedNState:
     """Rewrite a fixed-N state in the modes (c, d) = U (a, b).
 
-    Raises NumericalError when the rotated norm drifts from the input's by
-    more than NORM_TOL.
+    The amplitudes are one column through ``_rotate_columns``: two real
+    matrix-vector products with the cached V_N, O(N^2) work.  Raises
+    NumericalError when the rotated norm drifts from the input's by more
+    than NORM_TOL.
     """
     n_tot = state.total_number
-    rotated = sector_unitary(n_tot, u) @ state.amplitudes
+    column = state.amplitudes[None, :, None]
+    rotated = _rotate_columns(n_tot, n_tot, _rotation(u, n_tot + 1), column)[0, :, 0]
     drift = np.vdot(rotated, rotated).real - np.vdot(state.amplitudes, state.amplitudes).real
     if abs(drift) > NORM_TOL:
         raise NumericalError(f"mode transform changed the state norm by {drift:.3e}")
@@ -251,46 +268,29 @@ def mode_transform_density(
 ) -> TwoModeDensityMatrix:
     """Apply the mode map to a density matrix, every sector block at once.
 
-    Each block becomes R_N rho_N R_N^dag with R_N = ``sector_unitary(N, u)``.
-    The phases e^{i N phi} cancel, and D_t rho D_t^dag multiplies element
-    [m, m'] by e^{i t (m' - m)} whatever N is, as e^{i beta Lambda} does
-    [j, k] by e^{i beta (j - k)}.  So the blocks are gathered into stacks of
-    up to 8 sectors (``_SECTORS_PER_BATCH``), zero-padded to the largest, and
-    each stack goes through one offset phase, two real batched products with
-    the cached V_N (``_jx_bases``), a second phase, two more products and a
-    last phase.  Each product takes the conjugate transpose of its result,
-    so the right factor V (or V^T) never needs a complex matrix, and the
-    pairs of transposes cancel.  The call caches the bases of each batch
-    (``_jx_bases``; 0.04 / 0.24 / 3.1 MB for every sector up to cutoff
-    20 / 40 / 100) and the stack position of each stored element per cutoff
-    (``_rotation_index``; 4 bytes per element).
+    Each block becomes R_N rho_N R_N^dag.  The blocks are gathered into
+    stacks of up to 8 sectors (``_SECTORS_PER_BATCH``), zero-padded to the
+    largest, and each stack X goes twice through the rotation routine
+    (``_rotate_columns``): Y = R X, then R Y^dag = R X R^dag, as X is
+    Hermitian.  The phase e^{i N theta} cancels there, so it is dropped.
+    The call caches the bases of each batch (``_jx_bases``; 0.04 / 0.24 /
+    3.1 MB for every sector up to cutoff 20 / 40 / 100) and the stack
+    position of each stored element per cutoff (``_rotation_index``; 4 bytes
+    per element).
 
     Raises NumericalError, naming the first such sector, when a rotated
     block's trace drifts from the input's by more than NORM_TOL.
     """
-    _, alpha, beta, gamma = _euler_angles(u)
     cutoff = rho.cutoff
+    rotation = _rotation(u, cutoff + 1)._replace(theta=0.0)
     layout = _rotation_index(cutoff)
-    steps = np.arange(cutoff + 1)
-
-    def offset_phase(t: float) -> np.ndarray:
-        e = np.exp(1j * t * steps)
-        return np.multiply.outer(e.conj(), e)  # [m, m'] -> e^{i t (m' - m)}
-
-    phase_a, phase_b, phase_g = offset_phase(alpha), offset_phase(-beta), offset_phase(gamma)
     stack = np.zeros(layout.size, dtype=complex)
     stack[layout.cells] = rho._flat
     for first, last, start in layout.batches:
         side = last + 1
         x = stack[start : start + (side - first) * side * side].reshape(-1, side, side)
-        bases = _jx_bases(first, last)
-        x *= phase_g[:side, :side]
-        y = _conjugate_product(bases.transpose(0, 2, 1), x)  # (V^T x)^dag
-        y = _conjugate_product(bases.transpose(0, 2, 1), y)  # V^T x V
-        y *= phase_b[:side, :side]
-        y = _conjugate_product(bases, y)  # (V y)^dag
-        x[...] = _conjugate_product(bases, y)  # V y V^T
-        x *= phase_a[:side, :side]
+        y = _rotate_columns(first, last, rotation, x)
+        x[...] = _rotate_columns(first, last, rotation, y.conj().transpose(0, 2, 1))
     rotated = np.take(stack, layout.cells)
     index = _block_index(cutoff)
     rotated += np.conjugate(np.take(rotated, index.transpose))
@@ -305,13 +305,6 @@ def mode_transform_density(
             f"mode transform changed the trace of sector N={total} by {drift[total]:.3e}"
         )
     return TwoModeDensityMatrix._from_store(cutoff, rotated)
-
-
-def _conjugate_product(left: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(left @ x)^dag for a real stack ``left`` and a complex stack ``x``,
-    through one real product on the float view of x."""
-    product = (left @ x.view(float)).view(complex)
-    return np.conjugate(product.transpose(0, 2, 1), order="C")
 
 
 def rotate_modes(state: FixedNState, phi: float) -> FixedNState:
@@ -371,8 +364,10 @@ def binned_probability_scan(
     The phase enters amplitude d_m as e^{i phi m}, so with R the rotation at
     phi = 0 and G = R^dag Pi_M R (Pi_M keeps n_c >= M),
     P(phi) = sum_w c_w e^{i w phi} with c_w = sum_{m - m' = w} conj(d_m') d_m G[m', m].
-    The coefficients are summed exactly, folded modulo the grid size K
-    (aliasing included when K <= 2N); the scan is their inverse transform.
+    Only the columns of R at the occupied amplitudes enter G, so R is
+    applied to their one-hot columns alone.  The coefficients are summed
+    exactly, folded modulo the grid size K (aliasing included when K <= 2N);
+    the scan is their inverse transform.
     """
     n_tot = state.total_number
     if not 0 <= bin_threshold <= n_tot:
@@ -383,7 +378,10 @@ def binned_probability_scan(
     occupied = np.flatnonzero(state.amplitudes)
     d = state.amplitudes[occupied]
     # n_c = N - m_d >= M  <=>  amplitude index m_d <= N - M.
-    kept = _sector_columns(n_tot, beam_splitter_matrix(0.0), occupied)[: n_tot - bin_threshold + 1]
+    one_hot = np.zeros((1, n_tot + 1, len(occupied)), dtype=complex)
+    one_hot[0, occupied, np.arange(len(occupied))] = 1.0
+    rotation = _rotation(beam_splitter_matrix(0.0), n_tot + 1)
+    kept = _rotate_columns(n_tot, n_tot, rotation, one_hot)[0, : n_tot - bin_threshold + 1]
     terms = (np.conj(d)[:, None] * d[None, :] * (kept.conj().T @ kept)).ravel()
     bins = (occupied[None, :] - occupied[:, None]).ravel() % grid_size
     coeffs = np.bincount(bins, terms.real, grid_size) + 1j * np.bincount(
@@ -396,14 +394,16 @@ def binned_probability_scan(
 def cross_moment_scan(state: FixedNState, order: int, grid_size: int = 256) -> np.ndarray:
     """<c^dag^n c^n>(phi) over the uniform phase grid.
 
-    One rotation at phi = 0; the phase grid enters as e^{i phi m} on the
-    amplitudes, and n_c!/(n_c - n)! weights the rotated probabilities.
+    The phase grid enters as e^{i phi m} on the amplitudes, one column per
+    phase, and the rotation at phi = 0 is applied to those columns; then
+    n_c!/(n_c - n)! weights the rotated probabilities.
     """
     n_tot = state.total_number
     phases = 2.0 * np.pi * np.arange(grid_size) / grid_size
     shifted = state.amplitudes[:, None] * np.exp(1j * np.outer(np.arange(n_tot + 1), phases))
     keep = max(n_tot + 1 - order, 0)  # rows m_d <= N - n, where n_c >= n
-    rotated = sector_unitary(n_tot, beam_splitter_matrix(0.0))[:keep] @ shifted
+    rotation = _rotation(beam_splitter_matrix(0.0), n_tot + 1)
+    rotated = _rotate_columns(n_tot, n_tot, rotation, shifted[None])[0, :keep]
     n_c = n_tot - np.arange(keep)
     return np.exp(log_factorial(n_c) - log_factorial(n_c - order)) @ np.abs(rotated) ** 2
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import State, schwinger_moments
+from .tolerances import EQ_TOL
 
 # Mode map (c, d) = U (a, b) used by the two-atom inference.
 ROTATED_MODE_MATRIX = np.array(
@@ -215,8 +216,11 @@ def infer_two_atom_coherence(data: SqueezeData) -> TwoAtomInference:
     When <J_Z^2> < <N>/4 < <J_Y^2>, the anticommutator of the rotated-mode
     spin components equals <J_Y^2> - <J_Z^2> != 0, which forces
     |<c^dag^2 d^2>| > 0: a coherence between rotated-mode number states two
-    quanta apart.  An ordering failure yields an inconclusive (uncertified)
-    result rather than an error.
+    quanta apart.  Each of the three strict comparisons (<J_Z^2> < <N>/4,
+    <N>/4 < <J_Y^2>, <J_Y^2> - <J_Z^2> > 0) must clear a slack of
+    EQ_TOL * max(1, <N>/4), so that rounding alone cannot certify a state on
+    the boundary, such as a coherent spin state.  An ordering failure yields
+    an inconclusive (uncertified) result rather than an error.
     """
     mean_tol = MEAN_TOL_FACTOR * np.sqrt(max(data.mean_n, 0.0))
     for label, value in (("<J_Y>", data.jy_mean), ("<J_Z>", data.jz_mean)):
@@ -226,26 +230,23 @@ def infer_two_atom_coherence(data: SqueezeData) -> TwoAtomInference:
                 "the inference assumes vanishing first moments"
             )
     quarter_n = data.mean_n / 4.0
+    slack = EQ_TOL * max(1.0, quarter_n)
     anticomm = data.jy2 - data.jz2
     steps = [
         ChainStep("<J_Y> ~ 0", True, mean_tol - abs(data.jy_mean)),
         ChainStep("<J_Z> ~ 0", True, mean_tol - abs(data.jz_mean)),
-        ChainStep("<J_Z^2> < <N>/4", data.jz2 < quarter_n, quarter_n - data.jz2),
-        ChainStep("<N>/4 < <J_Y^2>", data.jy2 > quarter_n, data.jy2 - quarter_n),
+        ChainStep("<J_Z^2> < <N>/4", quarter_n - data.jz2 > slack, quarter_n - data.jz2),
+        ChainStep("<N>/4 < <J_Y^2>", data.jy2 - quarter_n > slack, data.jy2 - quarter_n),
         ChainStep(
-            "<J_Y^2> - <J_Z^2> != 0 => <{J_cx, J_cy}> != 0", anticomm != 0.0, anticomm
+            "<J_Y^2> - <J_Z^2> != 0 => <{J_cx, J_cy}> != 0", abs(anticomm) > slack, anticomm
         ),
     ]
-    ordered = steps[2].satisfied and steps[3].satisfied
+    certified = bool(steps[2].satisfied and steps[3].satisfied and anticomm > slack)
     steps.append(
-        ChainStep(
-            "|<c^dag^2 d^2>| >= |<J_Y^2> - <J_Z^2>| > 0",
-            ordered and anticomm > 0.0,
-            anticomm,
-        )
+        ChainStep("|<c^dag^2 d^2>| >= |<J_Y^2> - <J_Z^2>| > 0", certified, anticomm)
     )
     return TwoAtomInference(
-        certified=bool(ordered and anticomm > 0.0),
+        certified=certified,
         margin=float(anticomm),
         chain=tuple(steps),
     )

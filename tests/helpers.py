@@ -34,7 +34,7 @@ from noon_coherence.fock import (
     log_factorial,
     moment,
 )
-from noon_coherence.interferometry import QuadratureMoments, _mode_generator
+from noon_coherence.interferometry import QuadratureMoments
 
 
 def random_fixed_state(total_number: int, rng: np.random.Generator) -> FixedNState:
@@ -350,11 +350,26 @@ def reference_tunnelling_period(
     raise NoOscillationError("no opposite-sign extremum")
 
 
+def mode_generator(u: np.ndarray) -> np.ndarray:
+    """Hermitian K with U = exp(iK), from U = e^{i alpha} (cos t + i sin t n.sigma),
+    for a 2x2 unitary U: the generator whose sector image
+    ``reference_sector_unitary`` exponentiates."""
+    u = np.asarray(u, dtype=complex)
+    alpha = 0.5 * np.angle(np.linalg.det(u))
+    v = u * np.exp(-1j * alpha)  # in SU(2)
+    h = (v - v.conj().T) / 2j  # sin(t) n.sigma
+    sin_t = np.linalg.norm(h) / np.sqrt(2.0)
+    t = np.arctan2(sin_t, 0.5 * np.trace(v).real)
+    if sin_t == 0.0:  # v = +-1: no axis, all phase
+        return (alpha + t) * np.eye(2)
+    return alpha * np.eye(2) + (t / sin_t) * h
+
+
 def reference_sector_unitary(total_number: int, u: np.ndarray) -> np.ndarray:
     """exp(i G) with G the complex Hermitian tridiagonal sector generator of
     U = exp(iK), through a complex ``eigh``: the reference for
     ``sector_unitary``."""
-    k = _mode_generator(u)
+    k = mode_generator(u)
     m = np.arange(total_number + 1)
     up = ladder_coefficients(total_number)
     gen = np.diag(k[0, 0].real * (total_number - m) + k[1, 1].real * m).astype(complex)

@@ -160,6 +160,15 @@ def test_validation_errors_exit_2(tmp_path):
     assert run_cli(["dynamics", "--n", "4", "--g", "1", "--nl", "0", "--times", "0,Q/3"], tmp_path).returncode == 2
 
 
+@pytest.mark.parametrize("phase", ["NaN", "Infinity"])
+def test_fringes_rejects_a_non_finite_phase(tmp_path, phase):
+    state = '{"kind": "noon", "n": 5, "phase": %s}' % phase
+    result = run_cli(["fringes", "--state", state, "--m", "2", "--output", "x"], tmp_path)
+    assert result.returncode == 2
+    assert "amplitudes must be finite" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 1.00 TiB")

@@ -37,6 +37,15 @@ def test_fixed_n_state_validates_normalization():
         FixedNState(2, np.array([1.0, 0.0]))  # wrong length
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_fixed_n_state_rejects_non_finite_amplitudes(bad):
+    # A nan norm passes no comparison, so the norm check alone lets nan through.
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        FixedNState(1, np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        FixedNState.from_amplitudes([bad, 1.0])
+
+
 def _invalid_content(rho):
     """(blocks, message) pairs: copies of rho's blocks with right shapes and
     wrong content, and the ValueError message each must raise."""
@@ -115,11 +124,8 @@ def test_density_matrix_validation():
         TwoModeDensityMatrix(1, [[[np.nan]], np.zeros((2, 2))])
 
 
-@pytest.mark.parametrize("scratch_bytes", [fock.SCRATCH_BYTES, 0])
-def test_store_path_checks_as_the_block_constructor(monkeypatch, scratch_bytes):
-    # The library's producers hand a concatenated store to the same checks;
-    # with the scratch bound at 0 every check runs on a buffer of its own.
-    monkeypatch.setattr(fock, "SCRATCH_BYTES", scratch_bytes)
+def test_store_path_checks_as_the_block_constructor():
+    # The library's producers hand a concatenated store to the same checks.
     rho = random_mixture(3, np.random.default_rng(4))
     for blocks, message in _invalid_content(rho):
         store = np.concatenate([block.ravel() for block in blocks]).astype(complex)

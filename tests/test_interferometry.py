@@ -38,6 +38,7 @@ from noon_coherence.tolerances import EQ_TOL
 
 from helpers import (
     close,
+    mode_generator,
     random_fixed_state,
     random_mixture,
     reference_mode_transform_density,
@@ -97,11 +98,11 @@ def test_mode_transform_rejects_nonunitary():
 
 
 def test_mode_transform_norm_drift_is_numerical(monkeypatch):
-    # A sector matrix that does not preserve the norm is a numerical failure
-    # (exit 3), not invalid input (exit 2).
-    exact = interferometry.sector_unitary
+    # A rotation that does not preserve the norm is a numerical failure
+    # (exit 3), not invalid input (exit 2); the scaled basis makes it drift.
+    exact = interferometry._jx_bases
     monkeypatch.setattr(
-        interferometry, "sector_unitary", lambda n, u: 1.001 * exact(n, u)
+        interferometry, "_jx_bases", lambda first, last: 1.001 * exact(first, last)
     )
     with pytest.raises(NumericalError):
         mode_transform(make_noon(6), beam_splitter_matrix(0.3))
@@ -133,7 +134,7 @@ def test_mode_transform_density_norm_drift_is_numerical(monkeypatch):
 def _unitary_from_generator(rng, coupling):
     """exp(iK) for K = [[a, c], [conj c, b]] with a, b seeded.  The eigenvalue
     spread of K stays below 2 pi and its mean within (-pi/2, pi/2), so
-    ``_mode_generator`` recovers K.  For a real c, exp(iK) is symmetric; it
+    ``mode_generator`` recovers K.  For a real c, exp(iK) is symmetric; it
     is symmetrized so that the recovered K_ab is exactly real."""
     a, b = rng.uniform(-0.5, 0.5, size=2)
     k = np.array([[a, coupling], [np.conj(coupling), b]])
@@ -153,11 +154,17 @@ def test_sector_unitary_matches_complex_reference(n_tot, kind):
         "complex": size * np.exp(1j * rng.uniform(0.1, 3.0)),
     }[kind]
     u = _unitary_from_generator(rng, coupling)
-    k_ab = interferometry._mode_generator(u)[0, 1]
+    k_ab = mode_generator(u)[0, 1]
     assert (k_ab.imag == 0.0) == (kind != "complex")
     assert abs(k_ab - coupling) < 1e-12
     got = interferometry.sector_unitary(n_tot, u)
     assert np.max(np.abs(got - reference_sector_unitary(n_tot, u))) <= EQ_TOL
+    # the column route of mode_transform against the matrix, and its inverse
+    for state in (random_fixed_state(n_tot, rng), make_noon(n_tot, 0.3), make_binomial_splitter(n_tot)):
+        rotated = mode_transform(state, u)
+        assert np.max(np.abs(rotated.amplitudes - got @ state.amplitudes)) <= 1e-13
+        back = mode_transform(rotated, u.conj().T)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= EQ_TOL
 
 
 @pytest.mark.parametrize("n_tot", [100, 500])
@@ -393,6 +400,8 @@ def test_density_rotation_matches_the_sector_loop(cutoff):
             rotated = mode_transform_density(rho, u)
             reference = reference_mode_transform_density(rho, u)
             assert max(np.max(np.abs(a - b)) for a, b in zip(rotated.blocks, reference)) < 1e-13
+            back = mode_transform_density(rotated, u.conj().T)
+            assert np.max(np.abs(back._flat - rho._flat)) <= EQ_TOL
 
 
 def test_rotations_from_a_cold_cache_equal_repeated_calls():
@@ -517,7 +526,7 @@ def test_basis_cache_holds_under_threads(monkeypatch):
 
 def test_constructor_checks_hold_under_threads():
     # Each thread checks valid and non-Hermitian stores at cutoff 40 in turn;
-    # a scratch buffer shared between threads would mix their temporaries.
+    # temporaries shared between threads would mix their checks.
     valid = to_density_matrix(make_noon(40, 0.3))
     skewed = [block.copy() for block in valid.blocks]
     skewed[40][0, 40] += 0.01
