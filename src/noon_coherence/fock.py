@@ -7,12 +7,26 @@ cutoff, n_a + n_b <= cutoff: every state, channel, rotation and spin operator
 here conserves or only lowers the total number, so nothing ever leaves that
 space.  They are built from and stored as one complete (N+1) x (N+1) block
 per sector N = 0..cutoff in that same basis, about cutoff^3/3 numbers, kept
-as one concatenated row-major array.  The constructor checks, the spin
-moments, the loss channel and the coherence spread are a fixed number of
-whole-array passes over it, through per-cutoff cached index arrays
-(``_block_index``), and so are the mode rotations (``interferometry``).
-The dense matrix over flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b
-is only an output, ``entries``, that no library path reads.
+as one concatenated row-major array.  The constructor checks, the loss
+channel and the coherence spread are a fixed number of whole-array passes
+over it, through per-cutoff cached index arrays (``_block_index``), and so
+are the mode rotations (``interferometry``).  The dense matrix over
+flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an output,
+``entries``, that no library path reads.
+
+Number-conserving moments <(a^dag)^p (b^dag)^q a^r b^s> read only amplitude
+pairs |q - s| apart, or the block elements |q - s| places off the diagonal:
+a gather and a weighted sum per monomial, with the positions and ladder weights
+cached per (N or cutoff, tuple of monomials) in ``_moment_table``.  A density
+matrix's spin moments are nine such monomials in one pass.  With
+A = a^dag b and u = e^{-i theta}/2, J_theta = u A + conj(u) A^dag, and the
+identities A A^dag = N_a (N_b + 1), A^dag A = N_b (N_a + 1) and
+A f(N_a, N_b) = f(N_a - 1, N_b + 1) A give
+<J_X> + i <J_Y> = <a^dag b>,
+<J_theta^2> = 2 Re(u^2 <a^dag^2 b^2>) + (2 <a^dag b^dag a b> + <a^dag a> + <b^dag b>)/4,
+<{J_X, J_Y}> = Im <a^dag^2 b^2> and
+<J_theta^3> = 2 Re(u^3 <a^dag^3 b^3> + u^2 conj(u) <3 a^dag^2 b^dag a b^2
++ 3 a^dag b^dag b^2 + 3 a^dag^2 a b + a^dag b>).
 
 All factorial ratios go through a cached table of log(n!), correctly rounded
 to float64, which keeps ladder-operator moments representable in float64 up
@@ -188,6 +202,10 @@ def _block_index(cutoff: int) -> _BlockIndex:
     n_b = np.arange(len(state_total)) - first_state[state_total]
     total = np.repeat(sizes - 1, sizes**2)
     m, m_col = np.divmod(np.arange(count) - starts[total], total + 1)
+    # int32 halves these arrays; the gathers convert them to intp on each
+    # call, yet intp copies ran the dense_lossy benchmark about 5 % slower
+    # (2501/2184/1842 against 2652/2305/1934 ops/s, seeds 1-3, 10 s runs on a
+    # 2-core VM)
     dtype = np.int32 if count < 2**31 else np.int64
     index = _BlockIndex(
         starts=starts,
@@ -427,56 +445,97 @@ def _as_monomial(mono) -> OperatorMonomial:
 def _ladder_weights(n_a: np.ndarray, n_b: np.ndarray, p, q, r, s) -> np.ndarray:
     """<n_a - r + p, n_b - s + q| (a^dag)^p (b^dag)^q a^r b^s |n_a, n_b> for
     n_a >= r and n_b >= s, through log factorials: the square root of
-    n_a! (n_a - r + p)! n_b! (n_b - s + q)! / ((n_a - r)! (n_b - s)!)^2."""
+    n_a! (n_a - r + p)! n_b! (n_b - s + q)! / ((n_a - r)! (n_b - s)!)^2.
+
+    ``n_a`` and ``n_b`` are arrays of the result's shape.  The log sum is
+    accumulated in place, term by term from the left, so each weight
+    rounds exactly as the plain left-to-right sum does."""
     lowered_a = log_factorial(n_a - r)
     lowered_b = log_factorial(n_b - s)
-    return np.exp(
-        0.5
-        * (
-            log_factorial(n_a)
-            - lowered_a
-            + log_factorial(n_a - r + p)
-            - lowered_a
-            + log_factorial(n_b)
-            - lowered_b
-            + log_factorial(n_b - s + q)
-            - lowered_b
-        )
-    )
+    total = log_factorial(n_a)
+    total -= lowered_a
+    total += log_factorial(n_a - r + p)
+    total -= lowered_a
+    total += log_factorial(n_b)
+    total -= lowered_b
+    total += log_factorial(n_b - s + q)
+    total -= lowered_b
+    total *= 0.5
+    return np.exp(total, out=total)
 
 
-def _moments(state: State, monos: Sequence[OperatorMonomial]) -> np.ndarray:
-    """``moment(state, mono)`` for every monomial of ``monos``, each of which
-    must conserve the total number (p + q = r + s), in one pass.
+# _moment_table keeps this many (state size, exponent tuple) entries, least
+# recently used out first.  An entry holds 8 bytes per kept state and 16 per
+# (monomial, kept state) pair.  For the nine spin monomials that is 131 kB at
+# cutoff 40, 783 kB at cutoff 100 and 76 kB at pure N = 500 (the six
+# quadrature monomials: 89 kB, 536 kB, 52 kB), so 16 entries hold at most
+# about 12.5 MB up to cutoff 100; an order-n cross moment of a pure state
+# keeps N + 1 - n states.
+MOMENT_TABLES = 16
+
+
+class _MomentTable(NamedTuple):
+    """What ``_moments`` reads for one state size and tuple of monomials,
+    over the states that at least one monomial acts on (kept states)."""
+
+    ket: np.ndarray  # per kept state: its amplitude index (pure) or diagonal position
+    bra: np.ndarray  # (monomials, kept states): the position read, clipped on reading
+    weights: np.ndarray  # (monomials, kept states): ladder weights, 0 where annihilated
+
+
+@lru_cache(maxsize=MOMENT_TABLES)
+def _moment_table(pure: bool, size: int, exponents: tuple[tuple[int, ...], ...]) -> _MomentTable:
+    """The cached ``_MomentTable`` of the monomials whose (p, q, r, s) are
+    ``exponents``, on a pure state with N = ``size`` or a density matrix
+    with cutoff ``size``, as read-only arrays.
 
     A monomial acts on the states with n_a >= r and n_b >= s and moves n_b,
     the sector row, by q - s, inside the sector.  One mask keeps the states
-    any of the monomials acts on; over them, one gather takes the element
-    each monomial reads and one (monomials, states) grid holds the ladder
-    weights, zero where a monomial annihilates the state.  For a single
-    monomial these are the elements and weights of its own states, summed
-    in the same order.
+    any of the monomials acts on; over them each monomial reads the element
+    at its row offset (a position out of range, where it annihilates the
+    state, is clipped on reading) and one (monomials, states) grid holds
+    the ladder weights, zero where a monomial annihilates the state.
     """
-    p, q, r, s = np.array([(m.p, m.q, m.r, m.s) for m in monos]).T[:, :, None]
-    if isinstance(state, FixedNState):
-        n_b = np.arange(state.total_number + 1)  # the amplitude index m
-        n_a = state.total_number - n_b
+    p, q, r, s = np.array(exponents).T[:, :, None]
+    if pure:
+        n_b = np.arange(size + 1)  # the amplitude index m
+        n_a = size - n_b
+        ket = n_b
     else:
-        index = _block_index(state.cutoff)
-        n_a, n_b = index.n_a, index.n_b
+        index = _block_index(size)
+        n_a, n_b, ket = index.n_a, index.n_b, index.diag
     acts = (n_a >= r) & (n_b >= s)
     use = acts.any(axis=0)
-    n_a, n_b, acts = n_a[use], n_b[use], acts[:, use]
-    if isinstance(state, FixedNState):
-        d = state.amplitudes
-        bra = np.take(d, n_b + q - s, mode="clip")  # the amplitude after the monomial acts
-        values = np.conj(bra) * d[n_b]
-    else:
-        values = np.take(state._flat, index.diag[use] + q - s, mode="clip")
+    n_a, n_b, ket, acts = n_a[use], n_b[use], ket[use], acts[:, use]
     # states a monomial annihilates get counts that keep every factorial
     # finite, and weight 0
     weights = _ladder_weights(np.where(acts, n_a, r), np.where(acts, n_b, s), p, q, r, s)
-    values *= np.where(acts, weights, 0.0)
+    table = _MomentTable(
+        ket=ket,
+        bra=ket + q - s,
+        weights=np.where(acts, weights, 0.0),
+    )
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _moments(state: State, exponents: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """``moment(state, mono)`` for the monomial of every (p, q, r, s) of
+    ``exponents``, each of which must conserve the total number
+    (p + q = r + s), in one pass: a gather, a product with the cached
+    ladder weights of ``_moment_table`` and a sum per monomial.  For a
+    single monomial these are the elements and weights of its own states,
+    summed in the same order.
+    """
+    if isinstance(state, FixedNState):
+        table = _moment_table(True, state.total_number, exponents)
+        d = state.amplitudes
+        values = np.conj(np.take(d, table.bra, mode="clip")) * d[table.ket]
+    else:
+        table = _moment_table(False, state.cutoff, exponents)
+        values = np.take(state._flat, table.bra, mode="clip")
+    values *= table.weights
     return values.sum(axis=1)
 
 
@@ -490,7 +549,7 @@ def moment(state: State, mono) -> complex:
     mono = _as_monomial(mono)
     if mono.p + mono.q != mono.r + mono.s:
         return 0j
-    return complex(_moments(state, [mono])[0])
+    return complex(_moments(state, ((mono.p, mono.q, mono.r, mono.s),))[0])
 
 
 def cross_moment(state: State, n: int) -> complex:
@@ -532,13 +591,9 @@ def _sector_jz_values(n_tot: int) -> np.ndarray:
     return (n_tot - 2.0 * np.arange(n_tot + 1)) / 2.0
 
 
-def _sector_j_theta_power(d: np.ndarray, n_tot: int, theta: float, power: int) -> np.ndarray:
-    """(J_X cos(theta) + J_Y sin(theta))^power applied along axis 0."""
-    c, s = np.cos(theta), np.sin(theta)
-    vec = d
-    for _ in range(power):
-        vec = c * _sector_jx(vec, n_tot) + s * _sector_jy(vec, n_tot)
-    return vec
+def _sector_j_theta(d: np.ndarray, n_tot: int, theta: float) -> np.ndarray:
+    """J_X cos(theta) + J_Y sin(theta) applied along axis 0."""
+    return np.cos(theta) * _sector_jx(d, n_tot) + np.sin(theta) * _sector_jy(d, n_tot)
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -556,7 +611,29 @@ def schwinger_moments(
 
     For each requested angle the second and third moments of the rotated
     in-plane component J_theta (and the third moment of its orthogonal
-    partner G_theta) are evaluated as well.
+    partner G_theta = J_{theta + pi/2}) are evaluated as well.
+
+    A pure state applies the sector operators to its amplitudes d: with
+    w = J_theta d and g = G_theta d, <J_theta^2> = <w, w>,
+    <J_theta^3> = <w, J_theta w> and <G_theta^3> = <g, G_theta g>.  So
+    <J_theta^2> is nonnegative by construction, and a squeezed variance at
+    N = 500 is not a difference of terms of order N^2/4, as it is in the
+    monomial forms below.
+
+    A density matrix reads nine normally ordered moments in one ``_moments``
+    pass over the diagonal band of its blocks.  With A = a^dag b,
+    J_theta = u A + conj(u) A^dag for u = e^{-i theta}/2, and the identities
+    A A^dag = N_a (N_b + 1), A^dag A = N_b (N_a + 1) and
+    A f(N_a, N_b) = f(N_a - 1, N_b + 1) A give
+
+        <J_X> + i <J_Y> = <a^dag b>,
+        <J_theta^2> = 2 Re(u^2 <a^dag^2 b^2>)
+                      + (2 <a^dag b^dag a b> + <a^dag a> + <b^dag b>)/4,
+        <{J_X, J_Y}> = Im <a^dag^2 b^2>,
+        <J_theta^3> = 2 Re(u^3 <a^dag^3 b^3> + u^2 conj(u) <3 a^dag^2 b^dag a b^2
+                      + 3 a^dag b^dag b^2 + 3 a^dag^2 a b + a^dag b>).
+
+    J_Z, J_Z^2 and <N> come from the populations in both forms.
     """
     if isinstance(state, FixedNState):
         return _pure_schwinger(state, angles)
@@ -571,10 +648,13 @@ def _pure_schwinger(state: FixedNState, angles: Sequence[float]) -> SchwingerMom
     jz_vals = _sector_jz_values(n_tot)
     probs = np.abs(d) ** 2
     jtheta2, jtheta3, gtheta3 = {}, {}, {}
-    for theta in angles:
-        jtheta2[theta] = _pure_third(d, n_tot, theta, power=2)
-        jtheta3[theta] = _pure_third(d, n_tot, theta, power=3)
-        gtheta3[theta] = _pure_third(d, n_tot, theta + np.pi / 2, power=3)
+    for theta in dict.fromkeys(angles):  # each distinct angle once
+        across = theta + np.pi / 2
+        w = _sector_j_theta(d, n_tot, theta)
+        g = _sector_j_theta(d, n_tot, across)
+        jtheta2[theta] = float(np.vdot(w, w).real)
+        jtheta3[theta] = float(np.vdot(w, _sector_j_theta(w, n_tot, theta)).real)
+        gtheta3[theta] = float(np.vdot(g, _sector_j_theta(g, n_tot, across)).real)
     return SchwingerMoments(
         jx=float(np.vdot(d, jx_d).real),
         jy=float(np.vdot(d, jy_d).real),
@@ -590,105 +670,48 @@ def _pure_schwinger(state: FixedNState, angles: Sequence[float]) -> SchwingerMom
     )
 
 
-def _pure_third(d: np.ndarray, n_tot: int, theta: float, power: int) -> float:
-    return float(np.vdot(d, _sector_j_theta_power(d, n_tot, theta, power)).real)
-
-
-# (coefficient of a^dag b, coefficient of b^dag a) in J_X and J_Y
-_JX = (0.5, 0.5)
-_JY = (-0.5j, 0.5j)
-
-
-def _in_plane(theta: float) -> tuple[complex, complex]:
-    """The coefficients of J_X cos(theta) + J_Y sin(theta)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return (c - 1j * s) / 2.0, (c + 1j * s) / 2.0
-
-
-class _SpinLayout(NamedTuple):
-    """Where a^dag b and b^dag a read in the concatenated blocks.  Within a
-    block, row m + 1 sits N + 1 positions after row m; position S stands
-    for "outside the block", where the kernels append one zero."""
-
-    diag: np.ndarray  # per state: the position of its diagonal element
-    above: np.ndarray  # position of element [m + 1, m'], S at m = N
-    below: np.ndarray  # position of element [m - 1, m'], S at m = 0
-    ladder: np.ndarray  # sqrt((m + 1)(N - m)) of row m, with a 0 at position S
-
-
-def _spin_layout(index: _BlockIndex) -> _SpinLayout:
-    count = int(index.starts[-1])
-    pos = np.arange(count, dtype=index.row.dtype)
-    # per state: the row width N + 1, and the a^dag b weight
-    # sqrt((m + 1)(N - m)) = sqrt((n_b + 1) n_a)
-    width = np.take((index.n_a + index.n_b + 1).astype(pos.dtype), index.row)
-    weight = np.sqrt((index.n_b + 1.0) * index.n_a)
-    return _SpinLayout(
-        diag=index.diag,
-        above=np.where(np.take(index.n_a > 0, index.row), pos + width, count),
-        below=np.where(np.take(index.n_b > 0, index.row), pos - width, count),
-        ladder=np.append(np.take(weight, index.row), 0.0),
-    )
-
-
-def _spin_step(ext: np.ndarray, layout: _SpinLayout, coefficients) -> np.ndarray:
-    """(u a^dag b + v b^dag a) X for every sector block at once, (u, v) =
-    ``coefficients``.  Within a block a^dag b takes row m + 1 to row m with
-    weight sqrt((m+1)(N-m)), and b^dag a takes row m - 1 to row m with the
-    weight of row m - 1.  ``ext`` is the concatenated store of X with one
-    zero appended at position S, and so is the result."""
-    u, v = coefficients
-    out = np.zeros_like(ext)
-    out[:-1] = u * layout.ladder[:-1] * np.take(ext, layout.above)
-    out[:-1] += v * np.take(layout.ladder * ext, layout.below)
-    return out
-
-
-def _spin_trace(ext: np.ndarray, layout: _SpinLayout, coefficients) -> float:
-    """Tr((u a^dag b + v b^dag a) X), reading only the elements of X that
-    land on the diagonal; ``ext`` as in ``_spin_step``."""
-    u, v = coefficients
-    above, below = layout.above[layout.diag], layout.below[layout.diag]
-    terms = u * layout.ladder[layout.diag] * ext[above] + v * layout.ladder[below] * ext[below]
-    return float(terms.sum().real)
+# (p, q, r, s) of a^dag b, a^dag^2 b^2, a^dag b^dag a b, a^dag a, b^dag b,
+# a^dag^3 b^3, and of the three that make <A A A^dag + A A^dag A + A^dag A A>
+# with a^dag b: a^dag^2 b^dag a b^2, a^dag b^dag b^2, a^dag^2 a b
+_SPIN_MONOMIALS = (
+    (1, 0, 0, 1), (2, 0, 0, 2), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1),
+    (3, 0, 0, 3), (2, 1, 1, 2), (1, 1, 0, 2), (2, 0, 1, 1),
+)
 
 
 def _density_schwinger(
     state: TwoModeDensityMatrix, angles: Sequence[float]
 ) -> SchwingerMoments:
-    # <O> = Tr(O rho); the last factor of each product only forms a trace
+    one, two, pair, mean_na, mean_nb, three, *mixed = _moments(state, _SPIN_MONOMIALS).tolist()
+    # |u|^2 <A A^dag + A^dag A> and <A A A^dag + A A^dag A + A^dag A A>
+    number = (2.0 * pair.real + mean_na.real + mean_nb.real) / 4.0
+    cubic = 3.0 * sum(mixed) + one
+
+    def second(theta: float) -> float:
+        u = np.exp(-1j * theta) / 2.0
+        return float(2.0 * (u * u * two).real + number)
+
+    def third(theta: float) -> float:
+        u = np.exp(-1j * theta) / 2.0
+        return float(2.0 * (u**3 * three + u * u * u.conjugate() * cubic).real)
+
     index = _block_index(state.cutoff)
-    layout = _spin_layout(index)
-    rho = np.append(state._flat, 0.0)
-    probs = rho[index.diag].real
+    probs = state._flat[index.diag].real
     jz = (index.n_a - index.n_b) / 2.0
-
-    def trace(ext: np.ndarray, coefficients) -> float:
-        return _spin_trace(ext, layout, coefficients)
-
-    def power(coefficients, times: int) -> np.ndarray:
-        ext = rho
-        for _ in range(times):
-            ext = _spin_step(ext, layout, coefficients)
-        return ext
-
-    jx_r, jy_r = power(_JX, 1), power(_JY, 1)
     jtheta2, jtheta3, gtheta3 = {}, {}, {}
     for theta in dict.fromkeys(angles):  # each distinct angle once
-        along, across = _in_plane(theta), _in_plane(theta + np.pi / 2)
-        once = power(along, 1)
-        jtheta2[theta] = trace(once, along)
-        jtheta3[theta] = trace(_spin_step(once, layout, along), along)
-        gtheta3[theta] = trace(power(across, 2), across)
+        jtheta2[theta] = second(theta)
+        jtheta3[theta] = third(theta)
+        gtheta3[theta] = third(theta + np.pi / 2)
     return SchwingerMoments(
-        jx=trace(rho, _JX),
-        jy=trace(rho, _JY),
+        jx=one.real,
+        jy=one.imag,
         jz=float(np.sum(jz * probs)),
         ntot=float(np.sum((index.n_a + index.n_b) * probs)),
-        jx2=trace(jx_r, _JX),
-        jy2=trace(jy_r, _JY),
+        jx2=second(0.0),
+        jy2=second(np.pi / 2),
         jz2=float(np.sum(jz**2 * probs)),
-        jxy_anti=trace(jy_r, _JX) + trace(jx_r, _JY),
+        jxy_anti=two.imag,
         jtheta2=jtheta2,
         jtheta3=jtheta3,
         gtheta3=gtheta3,

@@ -11,6 +11,7 @@ from noon_coherence import (
     FixedNState,
     NoOscillationError,
     TwoModeDensityMatrix,
+    apply_loss,
     evolve,
     normalization,
 )
@@ -24,8 +25,10 @@ from noon_coherence.dynamics import (
 from noon_coherence.fock import (
     OperatorMonomial,
     SchwingerMoments,
+    _block_index,
     _difference_distribution,
-    _sector_j_theta_power,
+    _ladder_weights,
+    _sector_j_theta,
     _sector_jx,
     _sector_jy,
     _sector_jz_values,
@@ -54,6 +57,15 @@ def random_mixture(
         amps = random_fixed_state(n, rng).amplitudes
         blocks[n] += w * np.outer(amps, amps.conj())
     return TwoModeDensityMatrix(cutoff, blocks)
+
+
+def mixture_test_states(cutoff: int, rng: np.random.Generator) -> list[TwoModeDensityMatrix]:
+    """A random mixture at the cutoff (the vacuum at cutoff 0) and a lossy
+    copy of it, whose populations spread over every sector."""
+    if cutoff == 0:
+        return [TwoModeDensityMatrix(0, [np.ones((1, 1))])]
+    rho = random_mixture(cutoff, rng, components=4)
+    return [rho, apply_loss(rho, LossSetting(0.7, 0.45))]
 
 
 def two_mode_spin_matrices(cutoff: int) -> dict[str, np.ndarray]:
@@ -187,6 +199,38 @@ def reference_quadrature_moments(state) -> QuadratureMoments:
         xp_anti_b=((b2 - bd2) / 2j).real,
         x2_rot_b=((-1j * b2 + 1j * bd2 + 2.0 * nb + 1.0) / 4.0).real,
     )
+
+
+def reference_moments(state, exponents) -> np.ndarray:
+    """``_moments`` rebuilt from scratch on every call: the state mask, the
+    gathers and the ladder weights of the number-conserving monomials whose
+    (p, q, r, s) are ``exponents``, with no cached table: the reference for
+    the cached ``_moments``."""
+    p, q, r, s = np.array(exponents).T[:, :, None]
+    if isinstance(state, FixedNState):
+        n_b = np.arange(state.total_number + 1)
+        n_a = state.total_number - n_b
+    else:
+        index = _block_index(state.cutoff)
+        n_a, n_b = index.n_a, index.n_b
+    acts = (n_a >= r) & (n_b >= s)
+    use = acts.any(axis=0)
+    n_a, n_b, acts = n_a[use], n_b[use], acts[:, use]
+    if isinstance(state, FixedNState):
+        d = state.amplitudes
+        values = np.conj(np.take(d, n_b + q - s, mode="clip")) * d[n_b]
+    else:
+        values = np.take(state._flat, index.diag[use] + q - s, mode="clip")
+    weights = _ladder_weights(np.where(acts, n_a, r), np.where(acts, n_b, s), p, q, r, s)
+    values *= np.where(acts, weights, 0.0)
+    return values.sum(axis=1)
+
+
+def _sector_j_theta_power(d: np.ndarray, n_tot: int, theta: float, power: int) -> np.ndarray:
+    """(J_X cos(theta) + J_Y sin(theta))^power applied along axis 0."""
+    for _ in range(power):
+        d = _sector_j_theta(d, n_tot, theta)
+    return d
 
 
 def reference_density_schwinger(rho: TwoModeDensityMatrix, angles=()) -> SchwingerMoments:

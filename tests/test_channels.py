@@ -34,6 +34,7 @@ from noon_coherence.states import make_binomial_splitter, make_noon
 from helpers import (
     close,
     kraus_operators,
+    mixture_test_states,
     random_fixed_state,
     random_mixture,
     reference_apply_loss,
@@ -43,15 +44,6 @@ from helpers import (
 )
 
 TRANSMISSIONS = (0.0, 0.3, 0.55, 1.0)
-
-
-def _test_states(cutoff: int, rng: np.random.Generator) -> list[TwoModeDensityMatrix]:
-    """A random mixture at the cutoff (the vacuum at cutoff 0) and a lossy
-    copy of it, whose populations spread over every sector."""
-    if cutoff == 0:
-        return [TwoModeDensityMatrix(0, [np.ones((1, 1))])]
-    rho = random_mixture(cutoff, rng, components=4)
-    return [rho, apply_loss(rho, LossSetting(0.7, 0.45))]
 
 
 def test_loss_setting_validation():
@@ -120,7 +112,7 @@ def test_channel_matches_two_mode_kraus_sum():
 @pytest.mark.parametrize("cutoff", [0, 1, 6, 12, 40])
 def test_channel_matches_block_reference(cutoff):
     rng = np.random.default_rng(100 + cutoff)
-    for rho in _test_states(cutoff, rng):
+    for rho in mixture_test_states(cutoff, rng):
         for eta_a in TRANSMISSIONS:
             for eta_b in TRANSMISSIONS:
                 loss = LossSetting(eta_a, eta_b)
@@ -149,8 +141,9 @@ def _assert_moments_match(got, want):
 @pytest.mark.parametrize("cutoff", [0, 1, 6, 12, 40])
 def test_density_spin_moments_match_block_reference(cutoff):
     rng = np.random.default_rng(200 + cutoff)
-    angles = (0.0, 0.7, np.pi / 2, 2.1, 0.7)
-    for rho in _test_states(cutoff, rng):
+    # with the angles (0, pi/2, pi/4) of moment_from_spins(., 3)
+    angles = (0.0, 0.7, np.pi / 2, 2.1, 0.7, np.pi / 4)
+    for rho in mixture_test_states(cutoff, rng):
         _assert_moments_match(
             schwinger_moments(rho, angles), reference_density_schwinger(rho, angles)
         )

@@ -17,13 +17,19 @@ from noon_coherence import (
 from noon_coherence.channels import LossSetting, apply_loss, lossy_number_distribution
 from noon_coherence import fock
 from noon_coherence.fock import log_factorial
-from noon_coherence.interferometry import beam_splitter_matrix, mode_transform_density
+from noon_coherence.interferometry import (
+    _QUADRATURE_MONOMIALS,
+    beam_splitter_matrix,
+    mode_transform_density,
+)
 from noon_coherence.states import make_binomial_splitter, make_noon, make_number_pair
 
 from helpers import (
     close,
+    mixture_test_states,
     random_fixed_state,
     random_mixture,
+    reference_moments,
     two_mode_spin_matrices,
 )
 
@@ -230,6 +236,54 @@ def test_density_layout_is_complete_sectors():
             assert block.shape == (total + 1, total + 1)
     noon = to_density_matrix(make_noon(100))
     assert sum(block.nbytes for block in noon.blocks) == 5_576_816  # 16 sum_{k<=101} k^2
+
+
+def _monomial_sets(size: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The quadrature and spin monomials, and single cross monomials of
+    orders whose moments stay within float64 range (the order-250 moment of
+    a random N = 500 state is about e^1477)."""
+    crosses = sorted({0, 1, 2, 3, min(size, 20)})
+    return [
+        _QUADRATURE_MONOMIALS,
+        fock._SPIN_MONOMIALS,
+        *[((n, 0, 0, n),) for n in crosses],
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, size",
+    [("pure", 1), ("pure", 20), ("pure", 500)]
+    + [("density", c) for c in (0, 1, 12, 40)],
+)
+def test_cached_moments_equal_the_uncached_reference(kind, size):
+    rng = np.random.default_rng(300 + size)
+    states = [random_fixed_state(size, rng)] if kind == "pure" else mixture_test_states(size, rng)
+    for state in states:
+        for monos in _monomial_sets(size):
+            for _ in range(2):  # the cold and the cached table
+                got = fock._moments(state, monos)
+                want = reference_moments(state, monos)
+                assert got.dtype == want.dtype and (got == want).all(), monos
+
+
+def test_moment_tables_survive_eviction_and_are_read_only():
+    rng = np.random.default_rng(41)
+    rho = mixture_test_states(12, rng)[1]
+    first = fock._moments(rho, fock._SPIN_MONOMIALS)
+    # more distinct keys than the cache holds push the first table out
+    pure = random_fixed_state(60, rng)
+    for n in range(fock.MOMENT_TABLES + 4):
+        monos = ((n, 0, 0, n),)
+        assert (fock._moments(pure, monos) == reference_moments(pure, monos)).all()
+    assert fock._moment_table.cache_info().currsize == fock.MOMENT_TABLES
+    again = fock._moments(rho, fock._SPIN_MONOMIALS)
+    assert (again == first).all()
+    assert (again == reference_moments(rho, fock._SPIN_MONOMIALS)).all()
+    table = fock._moment_table(False, 12, fock._SPIN_MONOMIALS)
+    for arr in table:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_number_changing_moment_is_exactly_zero():

@@ -352,6 +352,16 @@ def test_moment_routes_on_mixtures():
         assert close(moment_from_quadratures(rho, order), cross_moment(rho, order))
 
 
+def test_third_order_spin_route_on_lossy_cutoff_40_states():
+    # the density spin moments come from nine monomials; the order-3 route
+    # combines third moments at the angles 0, pi/2 and pi/4
+    rng = np.random.default_rng(68)
+    mixture = apply_loss(random_mixture(40, rng, components=4), LossSetting(0.7, 0.45))
+    splitter = apply_loss(to_density_matrix(make_binomial_splitter(40)), LossSetting(0.9, 0.6))
+    for rho in (mixture, splitter):
+        assert close(moment_from_spins(rho, 3), cross_moment(rho, 3), tol=1e-12)
+
+
 def test_quadrature_moments_vacuum_and_rotation():
     vacuum = FixedNState(0, np.array([1.0 + 0j]))
     assert moment_from_quadratures(vacuum, 1) == 0j
