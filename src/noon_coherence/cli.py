@@ -11,8 +11,17 @@ Subcommands expose the library pipelines as plot-ready CSV/JSON emitters:
   infer      squeezing parameter, coherence bound and the two-atom inference
              chain over ingested data rows
 
+``--config FILE`` names a JSON object whose entries are parsed as the flags
+they name (``eta_steps`` is ``--eta-steps``), with the same types and
+choices: each becomes one ``--key=value`` token right after the subcommand,
+so flags given on the line come later and win.  A non-string value is passed
+as its JSON text, and ``null`` leaves a flag at its default.
+
 Exit codes: 0 success, 2 validation error (including a request too large for
-memory), 3 numerical failure.  Output is written atomically.
+memory), 3 numerical failure.  An unknown flag or config key, a bad value or
+a missing required flag exits 2 through argparse's ``SystemExit(2)`` with
+its usage message; ``main`` returns the other codes.  Output is written
+atomically.
 """
 
 from __future__ import annotations
@@ -94,6 +103,23 @@ def write_output(path: str | None, text: str) -> None:
         raise
 
 
+def _emit(args: argparse.Namespace, payload, tables, comments=None) -> None:
+    """Write a command's result in the chosen ``--format``, building only
+    that form: the JSON of ``payload()`` to ``--output``, or each
+    (suffix, header, rows) of ``tables()`` as CSV to ``--output`` plus the
+    suffix (``--output`` itself for an empty suffix).  ``comments`` maps
+    names to floats, written as one ``# name=value ...`` line above each
+    table."""
+    precision = args.precision
+    if args.format == "json":
+        write_output(args.output, json_text(payload(), precision))
+        return
+    stamp = " ".join(f"{k}={format_float(v, precision)}" for k, v in (comments or {}).items())
+    for suffix, header, rows in tables():
+        path = f"{args.output}{suffix}" if suffix else args.output
+        write_output(path, csv_text(header, rows, precision, [stamp] if stamp else ()))
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -111,11 +137,9 @@ def _parse_orders(text: str, total_number: int) -> list[int]:
     return orders
 
 
-def _parse_time_token(token: str, period: float | None) -> float:
+def _parse_time_token(token: str, period: float) -> float:
     token = token.strip()
     if "T" in token:
-        if period is None:
-            raise ValueError("times reference T but no tunnelling period is available")
         if token == "T":
             return period
         if token.startswith("T/"):
@@ -126,7 +150,7 @@ def _parse_time_token(token: str, period: float | None) -> float:
     return float(token)
 
 
-def _parse_times(spec: str, period: float | None) -> list[float]:
+def _parse_times(spec: str, period: float) -> list[float]:
     spec = spec.strip()
     if spec.startswith("grid:"):
         parts = spec.split(":")
@@ -144,34 +168,23 @@ def _parse_times(spec: str, period: float | None) -> list[float]:
     return times
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as handle:
-        overrides = json.load(handle)
-    if not isinstance(overrides, dict):
-        raise ValueError("config file must hold a JSON object")
-    known = set(vars(args)) - {"config", "func", "command"}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _output_style(args: argparse.Namespace) -> tuple[str, int]:
-    fmt = args.format if args.format is not None else "csv"
-    precision = int(args.precision) if args.precision is not None else DEFAULT_PRECISION
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    return fmt, precision
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+def _config_argv(argv: list[str]) -> list[str]:
+    """``argv`` with the entries of its ``--config`` file inserted right
+    after the subcommand, one ``--key=value`` token each, so that argparse
+    checks them as it checks flags and flags on the line, coming later, win.
+    A non-string value is passed as its JSON text; a null entry is left out."""
+    finder = argparse.ArgumentParser(prog="noon-coherence", add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    with open(path) as handle:
+        entries = json.load(handle)
+    if not isinstance(entries, dict) or "config" in entries:
+        raise ValueError("config file must hold a JSON object without a config entry")
+    flags = [f"--{key.replace('_', '-')}={val if isinstance(val, str) else json.dumps(val)}"
+             for key, val in entries.items() if val is not None]
+    return argv[:1] + flags + argv[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -180,69 +193,43 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def cmd_attenuate(args: argparse.Namespace) -> int:
-    _require(args, "n", "eta", "output")
-    n = int(args.n)
-    eta = float(args.eta)
+    n, eta = args.n, args.eta
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    steps = int(args.eta_steps if args.eta_steps is not None else 21)
-    if steps < 2:
+    if args.eta_steps < 2:
         raise ValueError("eta-steps must be >= 2")
-    orders = _parse_orders(args.orders, n) if args.orders is not None else [n]
-    fmt, precision = _output_style(args)
+    orders = [n] if args.orders is None else _parse_orders(args.orders, n)
     state = states.make_noon(n)
 
     dist = channels.lossy_number_distribution(state, channels.LossSetting.uniform(eta))
-    dist_rows = [[two_jz, prob] for two_jz, prob in dist.items()]
 
-    etas = np.linspace(0.0, 1.0, steps)
+    etas = np.linspace(0.0, 1.0, args.eta_steps)
     bounds = coherence.order_coherences(state.amplitudes, orders).bound[0]
     base = dict(zip(orders, bounds.tolist()))
-    curve_rows = [
-        [e] + [base[o] * e**o for o in orders] for e in etas
-    ]
+    curves = {"eta": list(etas), **{f"c_{o}": [base[o] * e**o for e in etas] for o in orders}}
     curve_header = ["eta"] + [f"c_{o}" for o in orders]
 
-    if fmt == "json":
-        payload = {
-            "distribution": {str(k): v for k, v in dist.items()},
-            "curves": {
-                "eta": list(etas),
-                **{f"c_{o}": [base[o] * e**o for e in etas] for o in orders},
-            },
-            "n": n,
-            "eta": eta,
-        }
-        write_output(args.output, json_text(payload, precision))
-    else:
-        write_output(
-            f"{args.output}_distribution.csv",
-            csv_text(["two_jz", "probability"], dist_rows, precision),
-        )
-        write_output(
-            f"{args.output}_cn.csv", csv_text(curve_header, curve_rows, precision)
-        )
+    _emit(
+        args,
+        lambda: {"distribution": {str(k): v for k, v in dist.items()}, "curves": curves,
+                 "n": n, "eta": eta},
+        lambda: [
+            ("_distribution.csv", ["two_jz", "probability"], list(dist.items())),
+            ("_cn.csv", curve_header, list(zip(*(curves[name] for name in curve_header)))),
+        ],
+    )
     return EXIT_OK
 
 
 def cmd_splitter(args: argparse.Namespace) -> int:
-    _require(args, "n")
-    n = int(args.n)
-    state = states.make_binomial_splitter(n)
-    fmt, precision = _output_style(args)
-    report = coherence.coherence_report(state)
+    report = coherence.coherence_report(states.make_binomial_splitter(args.n))
     if args.eta is None:
-        if fmt == "json":
-            write_output(args.output, json_text(report.to_json(), precision))
-        else:
-            header = ["n", "C_n", "c_n", "norm", "S", "delta"]
-            rows = [
-                [e.order, e.fidelity, e.bound, e.norm, e.s_value, report.spread]
-                for e in report.orders
-            ]
-            write_output(args.output, csv_text(header, rows, precision))
+        header = ["n", "C_n", "c_n", "norm", "S", "delta"]
+        _emit(args, report.to_json, lambda: [("", header, [
+            [e.order, e.fidelity, e.bound, e.norm, e.s_value, report.spread] for e in report.orders
+        ])])
         return EXIT_OK
-    etas = [float(tok) for tok in str(args.eta).split(",") if tok.strip()]
+    etas = [float(tok) for tok in args.eta.split(",") if tok.strip()]
     if any(not 0.0 <= e <= 1.0 for e in etas):
         raise ValueError("eta values must lie in [0, 1]")
     # Each row is eta^n times the lossless c_n.  That equals the lossy
@@ -250,33 +237,35 @@ def cmd_splitter(args: argparse.Namespace) -> int:
     # keeps S and the normalization unchanged.  At eta = 0.8 it holds for
     # N = 20, where the two agree to 4e-15; at N = 30 and 40 the lossy c_n
     # is 0 to 14 and 0 to 23 times this value.
-    rows = []
-    for entry in report.orders:
-        for e in etas:
-            rows.append([entry.order, e, entry.bound * e**entry.order])
-    if fmt == "json":
-        payload = {
-            "rows": [{"n": r[0], "eta": r[1], "c_n": r[2]} for r in rows]
-        }
-        write_output(args.output, json_text(payload, precision))
-    else:
-        write_output(args.output, csv_text(["n", "eta", "c_n"], rows, precision))
+    rows = [[entry.order, e, entry.bound * e**entry.order] for entry in report.orders for e in etas]
+    _emit(
+        args,
+        lambda: {"rows": [{"n": r[0], "eta": r[1], "c_n": r[2]} for r in rows]},
+        lambda: [("", ["n", "eta", "c_n"], rows)],
+    )
     return EXIT_OK
 
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
-    _require(args, "n", "g", "nl", "times")
-    n, g, nl = int(args.n), float(args.g), int(args.nl)
-    kappa = float(args.kappa if args.kappa is not None else 1.0)
-    system = dynamics.build_hamiltonian(n, g, kappa)
-    initial = states.make_number_pair(nl, n)
+    n = args.n
+    system = dynamics.build_hamiltonian(n, args.g, args.kappa)
+    initial = states.make_number_pair(args.nl, n)
     period = dynamics.tunnelling_period(system, initial)
     times = _parse_times(args.times, period.value)
-    orders = _parse_orders(args.orders, n) if args.orders is not None else [n - 2 * nl]
+    orders = [n - 2 * args.nl] if args.orders is None else _parse_orders(args.orders, n)
     trace = dynamics.evolve(system, initial, times, orders, t_n=period)
-    fmt, precision = _output_style(args)
-    if fmt == "json":
-        payload = {
+
+    def tables():
+        header = ["t"] + [f"p_{m}" for m in range(n + 1)] + [f"c_{o}" for o in orders]
+        rows = [
+            [t, *trace.pm_distributions[i], *(trace.cn_series[o][i] for o in orders)]
+            for i, t in enumerate(trace.times)
+        ]
+        return [("", header, rows)]
+
+    _emit(
+        args,
+        lambda: {
             "t_n_spectral": period.spectral,
             "t_n_scan": period.scanned,
             "t_n_relative_difference": period.relative_difference,
@@ -284,68 +273,37 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
             "pm": [list(row) for row in trace.pm_distributions],
             "jz_mean": list(trace.jz_mean),
             "c_n": {str(o): list(series) for o, series in trace.cn_series.items()},
-        }
-        write_output(args.output, json_text(payload, precision))
-        return EXIT_OK
-    header = (
-        ["t"]
-        + [f"p_{m}" for m in range(n + 1)]
-        + [f"c_{o}" for o in orders]
+        },
+        tables,
+        {"t_n_spectral": period.spectral, "t_n_scan": period.scanned,
+         "rel_diff": period.relative_difference},
     )
-    rows = []
-    for i, t in enumerate(trace.times):
-        row = [t] + list(trace.pm_distributions[i]) + [
-            trace.cn_series[o][i] for o in orders
-        ]
-        rows.append(row)
-    comments = [
-        f"t_n_spectral={format_float(period.spectral, precision)}"
-        f" t_n_scan={format_float(period.scanned, precision)}"
-        f" rel_diff={format_float(period.relative_difference, precision)}"
-    ]
-    write_output(args.output, csv_text(header, rows, precision, comments))
     return EXIT_OK
 
 
 def cmd_fringes(args: argparse.Namespace) -> int:
-    _require(args, "state", "m", "output")
     try:
         recipe_obj = json.loads(args.state)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--state must be a JSON recipe: {exc}") from exc
-    recipe = states.StateRecipe.from_json(recipe_obj)
-    state = recipe.build()
-    grid = int(args.k if args.k is not None else 256)
-    scan = interferometry.binned_probability_scan(state, int(args.m), grid)
-    fmt, precision = _output_style(args)
-    scan_rows = [[phi, p] for phi, p in zip(scan.phases, scan.probabilities)]
-    spec_rows = [[omega, mag] for omega, mag in enumerate(scan.spectrum)]
-    if fmt == "json":
-        payload = {
-            "phases": list(scan.phases),
-            "p_geq_M": list(scan.probabilities),
-            "spectrum": list(scan.spectrum),
-            "dominant_omega": scan.dominant_frequency(),
-            "m": int(args.m),
-        }
-        write_output(args.output, json_text(payload, precision))
-    else:
-        write_output(
-            f"{args.output}_scan.csv",
-            csv_text(["phi", "p_geq_M"], scan_rows, precision),
-        )
-        write_output(
-            f"{args.output}_spectrum.csv",
-            csv_text(["omega", "magnitude"], spec_rows, precision),
-        )
+    state = states.StateRecipe.from_json(recipe_obj).build()
+    scan = interferometry.binned_probability_scan(state, args.m, args.k)
+    _emit(
+        args,
+        lambda: {"phases": list(scan.phases), "p_geq_M": list(scan.probabilities),
+                 "spectrum": list(scan.spectrum), "dominant_omega": scan.dominant_frequency(),
+                 "m": args.m},
+        lambda: [
+            ("_scan.csv", ["phi", "p_geq_M"], list(zip(scan.phases, scan.probabilities))),
+            ("_spectrum.csv", ["omega", "magnitude"], list(enumerate(scan.spectrum))),
+        ],
+    )
     print(f"dominant_omega={scan.dominant_frequency()}")
     return EXIT_OK
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    _require(args, "data")
     rows = squeezing.read_squeeze_rows(args.data)
-    _, precision = _output_style(args)
     reports = []
     for index, data in enumerate(rows):
         xi, axis = squeezing.transverse_squeeze_parameter(data)
@@ -371,7 +329,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             entry["chain"] = []
             entry["two_atom"] = {"certified": False, "error": str(exc)}
         reports.append(entry)
-    write_output(args.output, json_text({"rows": reports}, precision))
+    write_output(args.output, json_text({"rows": reports}, args.precision))
     return EXIT_OK
 
 
@@ -387,49 +345,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", default=None, help="output path (or prefix)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--precision", type=int, default=None,
-                       help="significant digits for emitted floats (default 12)")
-        p.add_argument("--config", default=None,
-                       help="JSON file supplying values for omitted flags")
+    def common(p: argparse.ArgumentParser, prefix: bool = False) -> None:
+        p.add_argument("--output", required=prefix, help="output prefix (JSON: output path)"
+                       if prefix else "output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                       help="significant digits for emitted floats (default %(default)s)")
+        p.add_argument("--config", help="JSON file whose entries are parsed as the flags they name")
 
     p = sub.add_parser("attenuate", help="lossy NOON state distribution and c_n curves")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eta", type=float, required=True)
     p.add_argument("--orders", default=None, help="comma list or 'all' (default: N)")
-    p.add_argument("--eta-steps", dest="eta_steps", type=int, default=None)
-    common(p)
+    p.add_argument("--eta-steps", dest="eta_steps", type=int, default=21)
+    common(p, prefix=True)
     p.set_defaults(func=cmd_attenuate)
 
     p = sub.add_parser("splitter", help="beam-splitter state coherence vs order")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--eta", default=None, help="comma list of transmissions")
     common(p)
     p.set_defaults(func=cmd_splitter)
 
     p = sub.add_parser("dynamics", help="Josephson evolution trace")
-    p.add_argument("--n", type=int)
-    p.add_argument("--g", type=float)
-    p.add_argument("--nl", type=int)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g", type=float, required=True)
+    p.add_argument("--nl", type=int, required=True)
+    p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--orders", default=None, help="comma list or 'all' (default: N-2*nl)")
-    p.add_argument("--times", default=None,
+    p.add_argument("--times", required=True,
                    help="comma list of times (T, T/k, T*x allowed) or grid:START:STOP:COUNT")
     common(p)
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("fringes", help="binned-count probability scan and spectrum")
-    p.add_argument("--state", default=None,
+    p.add_argument("--state", required=True,
                    help='state recipe JSON, e.g. {"kind": "noon", "n": 5}')
-    p.add_argument("--m", type=int, help="bin threshold: count events with n_c >= M")
-    p.add_argument("--k", type=int, default=None, help="phase grid size (power of two)")
-    common(p)
+    p.add_argument("--m", type=int, required=True, help="bin threshold: count n_c >= M")
+    p.add_argument("--k", type=int, default=256, help="phase grid size (power of two)")
+    common(p, prefix=True)
     p.set_defaults(func=cmd_fringes)
 
     p = sub.add_parser("infer", help="squeezing-based coherence inference from CSV rows")
-    p.add_argument("--data", default=None, help="CSV with columns n,jx,jy,jz,jy2,jz2")
+    p.add_argument("--data", required=True, help="CSV with columns n,jx,jy,jz,jy2,jz2")
     common(p)
     p.set_defaults(func=cmd_infer)
 
@@ -437,12 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  A bad flag or config
+    entry leaves through argparse's ``SystemExit(2)`` with the usage message."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        args = parser.parse_args(_config_argv(sys.argv[1:] if argv is None else list(argv)))
+        if args.precision < 1:
+            parser.error("argument --precision: must be >= 1")
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:  # the requested size does not fit in memory

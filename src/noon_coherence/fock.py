@@ -35,6 +35,7 @@ to N of several hundred without big-integer arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import math
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
 from .tolerances import EQ_TOL, NORM_TOL
 
 
@@ -544,12 +546,17 @@ def moment(state: State, mono) -> complex:
 
     For fixed-N pure states this is the amplitude-pair sum; for density
     matrices it is Tr(rho * monomial), exact because every stored sector is
-    complete.  A monomial that changes the total number gives exactly 0j.
+    complete.  A monomial that changes the total number gives exactly 0j,
+    and one whose sum is not finite in float64 raises ``NumericalError``.
     """
     mono = _as_monomial(mono)
     if mono.p + mono.q != mono.r + mono.s:
         return 0j
-    return complex(_moments(state, ((mono.p, mono.q, mono.r, mono.s),))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(_moments(state, ((mono.p, mono.q, mono.r, mono.s),))[0])
+    if not cmath.isfinite(value):
+        raise NumericalError(f"moment {mono} overflows float64")
+    return value
 
 
 def cross_moment(state: State, n: int) -> complex:

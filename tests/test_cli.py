@@ -1,12 +1,14 @@
 import json
 import math
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from noon_coherence import cli, dynamics
+from noon_coherence import cli, coherence, dynamics
 from noon_coherence.errors import NumericalError
 from noon_coherence.states import make_number_pair
 
@@ -169,6 +171,16 @@ def test_fringes_rejects_a_non_finite_phase(tmp_path, phase):
     assert not list(tmp_path.iterdir())
 
 
+def test_splitter_csv_does_not_build_the_json_report(monkeypatch, tmp_path):
+    def unused(self):
+        raise AssertionError("the CSV form built the JSON report")
+
+    monkeypatch.setattr(coherence.CoherenceReport, "to_json", unused)
+    out = tmp_path / "spl.csv"
+    assert cli.main(["splitter", "--n", "5", "--output", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "splitter_n5.csv").read_bytes()
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 1.00 TiB")
@@ -207,9 +219,64 @@ def test_config_file_supplies_flags(tmp_path):
     result = run_cli(["splitter", "--config", str(config)], tmp_path)
     assert result.returncode == 0
     assert result.stdout.startswith("n,C_n,c_n,norm,S,delta")
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 3, "bogus": 1}))
-    assert run_cli(["splitter", "--config", str(bad)], tmp_path).returncode == 2
+    # each entry is parsed by the flag it names, so a wrong type, choice or
+    # key exits 2 as it would on the line, and nothing is written
+    for entry in [{"format": "xml"}, {"n": True}, {"precision": 6.9}, {"bogus": 1}, {"config": "x"}]:
+        config.write_text(json.dumps({"n": 3, **entry}))
+        result = run_cli(["splitter", "--config", str(config), "--output", "out.csv"], tmp_path)
+        assert result.returncode == 2, entry
+        assert "Traceback" not in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, entries, flags",
+    [
+        (["dynamics", "--n", "20", "--g", "4", "--nl", "4", "--times", "0,T/6"],
+         {"orders": 12}, ["--orders", "12"]),
+        (["fringes", "--m", "2", "--k", "16"],
+         {"state": {"kind": "noon", "n": 5}}, ["--state", '{"kind": "noon", "n": 5}']),
+        (["attenuate", "--n", "6", "--eta", "0.5"], {"eta_steps": 5}, ["--eta-steps", "5"]),
+        (["dynamics", "--n", "4", "--g", "1", "--nl", "0"], {"times": "-1,0"}, ["--times=-1,0"]),
+        (["splitter", "--n", "3"], {"eta": None, "format": None, "precision": None}, []),
+    ],
+)
+def test_config_entries_match_the_same_flags(tmp_path, argv, entries, flags):
+    # non-string values arrive as JSON text, and a null entry keeps the default
+    outputs = []
+    for tag, extra in (("config", ["--config", "cfg.json"]), ("line", flags)):
+        work = tmp_path / tag
+        work.mkdir()
+        (work / "cfg.json").write_text(json.dumps(entries))
+        result = run_cli([*argv, *extra, "--output", "out"], work)
+        assert result.returncode == 0, result.stderr
+        written = {p.name: p.read_bytes() for p in work.iterdir() if p.name != "cfg.json"}
+        outputs.append((result.stdout, written))
+    assert outputs[0][1]
+    assert outputs[0] == outputs[1]
+
+
+def test_readme_cli_commands_run(tmp_path):
+    # every noon-coherence line of the README's CLI block, continuations
+    # joined and comments dropped, must run and write the files it names
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["noon-coherence"]]
+    named = [
+        name.strip()
+        for line in block.splitlines()
+        if line.startswith("# ->")
+        for name in line[len("# ->"):].split(",")
+    ]
+    assert commands and named
+    shutil.copy(FIXTURES / "infer_rows.csv", tmp_path / "rows.csv")
+    for argv in commands:
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 0, (argv, result.stderr)
+    for name in named:
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def test_explicit_flags_override_config(tmp_path):

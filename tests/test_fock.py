@@ -14,7 +14,13 @@ from noon_coherence import (
     schwinger_moments,
     to_density_matrix,
 )
-from noon_coherence.channels import LossSetting, apply_loss, lossy_number_distribution
+from noon_coherence.channels import (
+    LossSetting,
+    apply_loss,
+    detected_moment,
+    lossy_number_distribution,
+)
+from noon_coherence.errors import NumericalError
 from noon_coherence import fock
 from noon_coherence.fock import log_factorial
 from noon_coherence.interferometry import (
@@ -351,6 +357,19 @@ def test_moment_within_float_range_at_n_500():
     # through log space, so nothing overflows on the way
     state = make_binomial_splitter(500)
     assert close(cross_moment(state, 1), 250.0, tol=1e-11)
+
+
+def test_moment_beyond_float_range_raises():
+    # |<(a^dag)^250 b^250>| of a random N = 500 state is about e^1477: its
+    # ladder weights overflow, so the sum is not finite in float64
+    state = random_fixed_state(500, np.random.default_rng(5))
+    loss = LossSetting.uniform(0.5)
+    with np.errstate(all="raise"):  # no numpy warning escapes
+        with pytest.raises(NumericalError, match=r"OperatorMonomial\(p=250, q=0, r=0, s=250\)"):
+            cross_moment(state, 250)
+        with pytest.raises(NumericalError, match="overflows float64"):
+            detected_moment(state, (250, 0, 0, 250), loss)
+    assert np.isfinite(cross_moment(state, 100))
 
 
 def test_schwinger_density_matches_pure():
