@@ -173,9 +173,12 @@ def _config_argv(argv: list[str]) -> list[str]:
     after the subcommand, one ``--key=value`` token each, so that argparse
     checks them as it checks flags and flags on the line, coming later, win.
     A non-string value is passed as its JSON text; a null entry is left out."""
-    finder = argparse.ArgumentParser(prog="noon-coherence", add_help=False)
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     finder.add_argument("--config")
-    path = finder.parse_known_args(argv)[0].config
+    try:
+        path = finder.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # a bare --config: the subcommand's parser reports it
+        return argv
     if path is None:
         return argv
     with open(path) as handle:
@@ -345,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, prefix: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, prefix: bool = False,
+               formats: tuple[str, ...] = ("csv", "json")) -> None:
         p.add_argument("--output", required=prefix, help="output prefix (JSON: output path)"
                        if prefix else "output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                        help="significant digits for emitted floats (default %(default)s)")
         p.add_argument("--config", help="JSON file whose entries are parsed as the flags they name")
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="squeezing-based coherence inference from CSV rows")
     p.add_argument("--data", required=True, help="CSV with columns n,jx,jy,jz,jy2,jz2")
-    common(p)
+    common(p, formats=("json",))
     p.set_defaults(func=cmd_infer)
 
     return parser

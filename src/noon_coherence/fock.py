@@ -17,16 +17,11 @@ flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an output,
 Number-conserving moments <(a^dag)^p (b^dag)^q a^r b^s> read only amplitude
 pairs |q - s| apart, or the block elements |q - s| places off the diagonal:
 a gather and a weighted sum per monomial, with the positions and ladder weights
-cached per (N or cutoff, tuple of monomials) in ``_moment_table``.  A density
-matrix's spin moments are nine such monomials in one pass.  With
-A = a^dag b and u = e^{-i theta}/2, J_theta = u A + conj(u) A^dag, and the
-identities A A^dag = N_a (N_b + 1), A^dag A = N_b (N_a + 1) and
-A f(N_a, N_b) = f(N_a - 1, N_b + 1) A give
-<J_X> + i <J_Y> = <a^dag b>,
-<J_theta^2> = 2 Re(u^2 <a^dag^2 b^2>) + (2 <a^dag b^dag a b> + <a^dag a> + <b^dag b>)/4,
-<{J_X, J_Y}> = Im <a^dag^2 b^2> and
-<J_theta^3> = 2 Re(u^3 <a^dag^3 b^3> + u^2 conj(u) <3 a^dag^2 b^dag a b^2
-+ 3 a^dag b^dag b^2 + 3 a^dag^2 a b + a^dag b>).
+cached per (N or cutoff, tuple of monomials) in ``_moment_table``.  Every
+in-plane spin component is one operator u a^dag b + conj(u) b^dag a
+(``_sector_spin``); a pure state's spin moments apply it to the amplitudes,
+and a density matrix's are nine such monomials in one pass
+(``schwinger_moments`` gives the identities).
 
 All factorial ratios go through a cached table of log(n!), correctly rounded
 to float64, which keeps ladder-operator moments representable in float64 up
@@ -576,31 +571,19 @@ def ladder_coefficients(n_tot: int) -> np.ndarray:
     return np.sqrt((m + 1) * (n_tot - m))
 
 
-def _sector_jx(d: np.ndarray, n_tot: int) -> np.ndarray:
-    """J_X applied along axis 0 (a sector vector, or a block's columns)."""
+def _sector_spin(d: np.ndarray, n_tot: int, u: complex) -> np.ndarray:
+    """u a^dag b + conj(u) b^dag a applied along axis 0 (a sector vector, or
+    a block's columns): J_X at u = 1/2, J_Y at u = -i/2 and
+    J_theta = J_X cos(theta) + J_Y sin(theta) at u = e^{-i theta}/2."""
     up = ladder_coefficients(n_tot).reshape((-1,) + (1,) * (d.ndim - 1))
-    out = np.zeros_like(d)
-    out[:-1] += 0.5 * up * d[1:]
-    out[1:] += 0.5 * up * d[:-1]
-    return out
-
-
-def _sector_jy(d: np.ndarray, n_tot: int) -> np.ndarray:
-    """J_Y applied along axis 0 (a sector vector, or a block's columns)."""
-    up = ladder_coefficients(n_tot).reshape((-1,) + (1,) * (d.ndim - 1))
-    out = np.zeros_like(d)
-    out[:-1] += up * d[1:] / 2j
-    out[1:] -= up * d[:-1] / 2j
+    out = np.zeros_like(d, dtype=complex)
+    out[:-1] = u * up * d[1:]
+    out[1:] += np.conj(u) * up * d[:-1]
     return out
 
 
 def _sector_jz_values(n_tot: int) -> np.ndarray:
     return (n_tot - 2.0 * np.arange(n_tot + 1)) / 2.0
-
-
-def _sector_j_theta(d: np.ndarray, n_tot: int, theta: float) -> np.ndarray:
-    """J_X cos(theta) + J_Y sin(theta) applied along axis 0."""
-    return np.cos(theta) * _sector_jx(d, n_tot) + np.sin(theta) * _sector_jy(d, n_tot)
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -611,6 +594,15 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     return a
 
 
+# (p, q, r, s) of a^dag b, a^dag^2 b^2, a^dag b^dag a b, a^dag a, b^dag b,
+# a^dag^3 b^3, and of the three that make <A A A^dag + A A^dag A + A^dag A A>
+# with a^dag b: a^dag^2 b^dag a b^2, a^dag b^dag b^2, a^dag^2 a b
+_SPIN_MONOMIALS = (
+    (1, 0, 0, 1), (2, 0, 0, 2), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1),
+    (3, 0, 0, 3), (2, 1, 1, 2), (1, 1, 0, 2), (2, 0, 1, 1),
+)
+
+
 def schwinger_moments(
     state: State, angles: Sequence[float] = ()
 ) -> SchwingerMoments:
@@ -618,18 +610,20 @@ def schwinger_moments(
 
     For each requested angle the second and third moments of the rotated
     in-plane component J_theta (and the third moment of its orthogonal
-    partner G_theta = J_{theta + pi/2}) are evaluated as well.
+    partner G_theta = J_{theta + pi/2}) are evaluated as well.  With
+    A = a^dag b, every in-plane component is J_theta = u A + conj(u) A^dag
+    for u = e^{-i theta}/2, and each form below gives <J_theta^2> and
+    <J_theta^3> as functions of u.
 
-    A pure state applies the sector operators to its amplitudes d: with
-    w = J_theta d and g = G_theta d, <J_theta^2> = <w, w>,
-    <J_theta^3> = <w, J_theta w> and <G_theta^3> = <g, G_theta g>.  So
-    <J_theta^2> is nonnegative by construction, and a squeezed variance at
-    N = 500 is not a difference of terms of order N^2/4, as it is in the
-    monomial forms below.
+    A pure state applies the sector operator ``_sector_spin`` to its
+    amplitudes d: with w = J_theta d, <J_theta^2> = <w, w> and
+    <J_theta^3> = <w, J_theta w>.  So <J_theta^2> is nonnegative by
+    construction, and a squeezed variance at N = 500 is not a difference of
+    terms of order N^2/4, as it is in the monomial forms below; this is
+    the accurate route.
 
     A density matrix reads nine normally ordered moments in one ``_moments``
-    pass over the diagonal band of its blocks.  With A = a^dag b,
-    J_theta = u A + conj(u) A^dag for u = e^{-i theta}/2, and the identities
+    pass over the diagonal band of its blocks.  The identities
     A A^dag = N_a (N_b + 1), A^dag A = N_b (N_a + 1) and
     A f(N_a, N_b) = f(N_a - 1, N_b + 1) A give
 
@@ -643,85 +637,51 @@ def schwinger_moments(
     J_Z, J_Z^2 and <N> come from the populations in both forms.
     """
     if isinstance(state, FixedNState):
-        return _pure_schwinger(state, angles)
-    return _density_schwinger(state, angles)
+        n_tot, d = state.total_number, state.amplitudes
+        jx_d = _sector_spin(d, n_tot, 0.5)
+        jy_d = _sector_spin(d, n_tot, -0.5j)
+        jx, jy = np.vdot(d, jx_d).real, np.vdot(d, jy_d).real
+        jx2, jy2 = np.vdot(jx_d, jx_d).real, np.vdot(jy_d, jy_d).real
+        jxy_anti = 2.0 * np.vdot(jx_d, jy_d).real
+        jz_values, probs, ntot = _sector_jz_values(n_tot), np.abs(d) ** 2, n_tot
 
+        def second(u: complex) -> float:
+            w = _sector_spin(d, n_tot, u)
+            return np.vdot(w, w).real
 
-def _pure_schwinger(state: FixedNState, angles: Sequence[float]) -> SchwingerMoments:
-    n_tot = state.total_number
-    d = state.amplitudes
-    jx_d = _sector_jx(d, n_tot)
-    jy_d = _sector_jy(d, n_tot)
-    jz_vals = _sector_jz_values(n_tot)
-    probs = np.abs(d) ** 2
+        def third(u: complex) -> float:
+            w = _sector_spin(d, n_tot, u)
+            return np.vdot(w, _sector_spin(w, n_tot, u)).real
+
+    else:
+        one, two, pair, mean_na, mean_nb, three, *mixed = _moments(state, _SPIN_MONOMIALS).tolist()
+        # |u|^2 <A A^dag + A^dag A> and <A A A^dag + A A^dag A + A^dag A A>
+        number = (2.0 * pair.real + mean_na.real + mean_nb.real) / 4.0
+        cubic = 3.0 * sum(mixed) + one
+
+        def second(u: complex) -> float:
+            return 2.0 * (u * u * two).real + number
+
+        def third(u: complex) -> float:
+            return 2.0 * (u**3 * three + u * u * u.conjugate() * cubic).real
+
+        jx, jy, jxy_anti = one.real, one.imag, two.imag
+        # J_Y at the angle loop's rounded u for pi/2, so jy2 == jtheta2[pi/2]
+        jx2, jy2 = second(0.5), second(np.exp(-1j * np.pi / 2) / 2.0)
+        index = _block_index(state.cutoff)
+        probs = state._flat[index.diag].real
+        jz_values = (index.n_a - index.n_b) / 2.0
+        ntot = np.sum((index.n_a + index.n_b) * probs)
     jtheta2, jtheta3, gtheta3 = {}, {}, {}
     for theta in dict.fromkeys(angles):  # each distinct angle once
-        across = theta + np.pi / 2
-        w = _sector_j_theta(d, n_tot, theta)
-        g = _sector_j_theta(d, n_tot, across)
-        jtheta2[theta] = float(np.vdot(w, w).real)
-        jtheta3[theta] = float(np.vdot(w, _sector_j_theta(w, n_tot, theta)).real)
-        gtheta3[theta] = float(np.vdot(g, _sector_j_theta(g, n_tot, across)).real)
-    return SchwingerMoments(
-        jx=float(np.vdot(d, jx_d).real),
-        jy=float(np.vdot(d, jy_d).real),
-        jz=float(np.sum(jz_vals * probs)),
-        ntot=float(n_tot),
-        jx2=float(np.vdot(jx_d, jx_d).real),
-        jy2=float(np.vdot(jy_d, jy_d).real),
-        jz2=float(np.sum(jz_vals**2 * probs)),
-        jxy_anti=float(2.0 * np.vdot(jx_d, jy_d).real),
-        jtheta2=jtheta2,
-        jtheta3=jtheta3,
-        gtheta3=gtheta3,
-    )
-
-
-# (p, q, r, s) of a^dag b, a^dag^2 b^2, a^dag b^dag a b, a^dag a, b^dag b,
-# a^dag^3 b^3, and of the three that make <A A A^dag + A A^dag A + A^dag A A>
-# with a^dag b: a^dag^2 b^dag a b^2, a^dag b^dag b^2, a^dag^2 a b
-_SPIN_MONOMIALS = (
-    (1, 0, 0, 1), (2, 0, 0, 2), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1),
-    (3, 0, 0, 3), (2, 1, 1, 2), (1, 1, 0, 2), (2, 0, 1, 1),
-)
-
-
-def _density_schwinger(
-    state: TwoModeDensityMatrix, angles: Sequence[float]
-) -> SchwingerMoments:
-    one, two, pair, mean_na, mean_nb, three, *mixed = _moments(state, _SPIN_MONOMIALS).tolist()
-    # |u|^2 <A A^dag + A^dag A> and <A A A^dag + A A^dag A + A^dag A A>
-    number = (2.0 * pair.real + mean_na.real + mean_nb.real) / 4.0
-    cubic = 3.0 * sum(mixed) + one
-
-    def second(theta: float) -> float:
         u = np.exp(-1j * theta) / 2.0
-        return float(2.0 * (u * u * two).real + number)
-
-    def third(theta: float) -> float:
-        u = np.exp(-1j * theta) / 2.0
-        return float(2.0 * (u**3 * three + u * u * u.conjugate() * cubic).real)
-
-    index = _block_index(state.cutoff)
-    probs = state._flat[index.diag].real
-    jz = (index.n_a - index.n_b) / 2.0
-    jtheta2, jtheta3, gtheta3 = {}, {}, {}
-    for theta in dict.fromkeys(angles):  # each distinct angle once
-        jtheta2[theta] = second(theta)
-        jtheta3[theta] = third(theta)
-        gtheta3[theta] = third(theta + np.pi / 2)
+        jtheta2[theta] = float(second(u))
+        jtheta3[theta] = float(third(u))
+        gtheta3[theta] = float(third(np.exp(-1j * (theta + np.pi / 2)) / 2.0))
     return SchwingerMoments(
-        jx=one.real,
-        jy=one.imag,
-        jz=float(np.sum(jz * probs)),
-        ntot=float(np.sum((index.n_a + index.n_b) * probs)),
-        jx2=second(0.0),
-        jy2=second(np.pi / 2),
-        jz2=float(np.sum(jz**2 * probs)),
-        jxy_anti=two.imag,
-        jtheta2=jtheta2,
-        jtheta3=jtheta3,
-        gtheta3=gtheta3,
+        jx=float(jx), jy=float(jy), jz=float(np.sum(jz_values * probs)), ntot=float(ntot),
+        jx2=float(jx2), jy2=float(jy2), jz2=float(np.sum(jz_values**2 * probs)),
+        jxy_anti=float(jxy_anti), jtheta2=jtheta2, jtheta3=jtheta3, gtheta3=gtheta3,
     )
 
 

@@ -11,6 +11,7 @@ c = (a + b)/sqrt(2), d = e^{-i pi/4} (a - b)/sqrt(2).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -273,9 +274,12 @@ def read_squeeze_rows(path: str | Path) -> list[SqueezeData]:
                 f"got {','.join(fields)}"
             )
         for line_no, raw in enumerate(reader, start=2):
+            # a short row gives None values, a long one a None key
             try:
                 values = {key.strip().lower(): float(val) for key, val in raw.items()}
-            except (TypeError, ValueError) as exc:
+                if not all(map(math.isfinite, values.values())):
+                    raise ValueError("nan or inf")
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed squeezing CSV at line {line_no}") from exc
             rows.append(
                 SqueezeData(

@@ -77,6 +77,15 @@ def make_embedded_cat(
     return FixedNState(total_number, amps)
 
 
+def _json_value(data: Mapping, key: str, types, default=None):
+    """``data[key]`` (or ``default``) if it is one of ``types``; JSON true
+    and false arrive as bool, a subclass of int, and are refused too."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"recipe value {key!r} has the wrong type: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StateRecipe:
     """Declarative description of a factory state, JSON round-trippable."""
@@ -122,6 +131,11 @@ class StateRecipe:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "StateRecipe":
+        """The recipe of a JSON object: ``n`` and ``n_l`` must be integers
+        and ``phase`` a number, never a bool or a string; anything else
+        raises ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a state recipe is a JSON object, got {data!r}")
         allowed = {"kind", "n", "phase", "n_l"}
         unknown = set(data) - allowed
         if unknown:
@@ -130,7 +144,7 @@ class StateRecipe:
             raise ValueError("recipe needs at least 'kind' and 'n'")
         return cls(
             kind=data["kind"],
-            total_number=int(data["n"]),
-            phase=float(data.get("phase", 0.0)),
-            left_occupation=(None if data.get("n_l") is None else int(data["n_l"])),
+            total_number=_json_value(data, "n", int),
+            phase=float(_json_value(data, "phase", (int, float), 0.0)),
+            left_occupation=_json_value(data, "n_l", (int, type(None))),
         )

@@ -28,10 +28,8 @@ from noon_coherence.fock import (
     _block_index,
     _difference_distribution,
     _ladder_weights,
-    _sector_j_theta,
-    _sector_jx,
-    _sector_jy,
     _sector_jz_values,
+    _sector_spin,
     annihilation_matrix,
     ladder_coefficients,
     log_factorial,
@@ -229,7 +227,7 @@ def reference_moments(state, exponents) -> np.ndarray:
 def _sector_j_theta_power(d: np.ndarray, n_tot: int, theta: float, power: int) -> np.ndarray:
     """(J_X cos(theta) + J_Y sin(theta))^power applied along axis 0."""
     for _ in range(power):
-        d = _sector_j_theta(d, n_tot, theta)
+        d = _sector_spin(d, n_tot, np.exp(-1j * theta) / 2.0)
     return d
 
 
@@ -245,17 +243,18 @@ def reference_density_schwinger(rho: TwoModeDensityMatrix, angles=()) -> Schwing
         return float(np.trace(_sector_j_theta_power(block, n_tot, theta, power)).real)
 
     for n_tot, block in enumerate(rho.blocks):
-        jx_r, jy_r = _sector_jx(block, n_tot), _sector_jy(block, n_tot)
+        jx_r, jy_r = _sector_spin(block, n_tot, 0.5), _sector_spin(block, n_tot, -0.5j)
         jz = _sector_jz_values(n_tot)
         probs = block.diagonal().real
         sums["jx"] += np.trace(jx_r).real
         sums["jy"] += np.trace(jy_r).real
         sums["jz"] += np.sum(jz * probs)
         sums["ntot"] += n_tot * np.sum(probs)
-        sums["jx2"] += np.trace(_sector_jx(jx_r, n_tot)).real
-        sums["jy2"] += np.trace(_sector_jy(jy_r, n_tot)).real
+        sums["jx2"] += np.trace(_sector_spin(jx_r, n_tot, 0.5)).real
+        sums["jy2"] += np.trace(_sector_spin(jy_r, n_tot, -0.5j)).real
         sums["jz2"] += np.sum(jz**2 * probs)
-        sums["jxy_anti"] += np.trace(_sector_jx(jy_r, n_tot) + _sector_jy(jx_r, n_tot)).real
+        anti = _sector_spin(jy_r, n_tot, 0.5) + _sector_spin(jx_r, n_tot, -0.5j)
+        sums["jxy_anti"] += np.trace(anti).real
         for theta in jtheta2:
             jtheta2[theta] += third(block, n_tot, theta, power=2)
             jtheta3[theta] += third(block, n_tot, theta, power=3)

@@ -171,6 +171,40 @@ def test_fringes_rejects_a_non_finite_phase(tmp_path, phase):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "recipe",
+    ['{"kind": "noon", "n": 5.7}', '{"kind": "noon", "n": true}', '{"kind": "noon", "n": "5"}',
+     '{"kind": "embedded_initial", "n": 20, "n_l": 2.9}', '{"kind": "noon", "n": 5, "phase": true}',
+     '5'],
+)
+def test_fringes_rejects_recipe_values_it_would_coerce(tmp_path, recipe):
+    result = run_cli(["fringes", "--state", recipe, "--m", "1", "--output", "x"], tmp_path)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("row", ["100,40,0,0,nan,10", "100,inf,0,0,40,10", "100,40,0,0,40,-inf",
+                                 "100,40,0,0,40,10,7"])
+def test_infer_rejects_non_finite_and_long_rows(tmp_path, row):
+    (tmp_path / "rows.csv").write_text(f"n,jx,jy,jz,jy2,jz2\n100,40,0,0,40,10\n{row}\n")
+    result = run_cli(["infer", "--data", "rows.csv", "--output", "rep.json"], tmp_path)
+    assert result.returncode == 2
+    assert "malformed squeezing CSV at line 3" in result.stderr
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_infer_takes_only_json_format(tmp_path):
+    data = str(FIXTURES / "infer_rows.csv")
+    result = run_cli(["infer", "--data", data, "--format", "csv", "--output", "rep"], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: noon-coherence infer")
+    assert not list(tmp_path.iterdir())
+    result = run_cli(["infer", "--data", data, "--format", "json", "--output", "rep.json"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "rep.json").read_bytes() == (FIXTURES / "infer_report.json").read_bytes()
+
+
 def test_splitter_csv_does_not_build_the_json_report(monkeypatch, tmp_path):
     def unused(self):
         raise AssertionError("the CSV form built the JSON report")
@@ -227,6 +261,11 @@ def test_config_file_supplies_flags(tmp_path):
         assert result.returncode == 2, entry
         assert "Traceback" not in result.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    # a bare --config is reported by the subcommand's own parser
+    result = run_cli(["splitter", "--config"], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: noon-coherence splitter")
+    assert "argument --config: expected one argument" in result.stderr
 
 
 @pytest.mark.parametrize(

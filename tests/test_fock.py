@@ -20,12 +20,14 @@ from noon_coherence.channels import (
     detected_moment,
     lossy_number_distribution,
 )
+from noon_coherence.dynamics import build_hamiltonian
 from noon_coherence.errors import NumericalError
 from noon_coherence import fock
 from noon_coherence.fock import log_factorial
 from noon_coherence.interferometry import (
     _QUADRATURE_MONOMIALS,
     beam_splitter_matrix,
+    mode_transform,
     mode_transform_density,
 )
 from noon_coherence.states import make_binomial_splitter, make_noon, make_number_pair
@@ -373,14 +375,48 @@ def test_moment_beyond_float_range_raises():
 
 
 def test_schwinger_density_matches_pure():
+    # the amplitude route and the monomial route agree on every field, each
+    # to 1e-14 of the scale (N/2)^k of an order-k moment
+    order = {"jx": 1, "jy": 1, "jz": 1, "ntot": 1, "jx2": 2, "jy2": 2, "jz2": 2,
+             "jxy_anti": 2, "jtheta2": 2, "jtheta3": 3, "gtheta3": 3}
+    angles = (0.0, np.pi / 2, np.pi / 4, 0.3)
     rng = np.random.default_rng(9)
-    state = random_fixed_state(5, rng)
-    mp = schwinger_moments(state, angles=(0.7,))
-    md = schwinger_moments(to_density_matrix(state), angles=(0.7,))
-    for attr in ("jx", "jy", "jz", "ntot", "jx2", "jy2", "jz2", "jxy_anti"):
-        assert close(getattr(mp, attr), getattr(md, attr))
-    assert close(mp.jtheta3[0.7], md.jtheta3[0.7])
-    assert close(mp.gtheta3[0.7], md.gtheta3[0.7])
+    for n in (1, 20, 100):
+        state = random_fixed_state(n, rng)
+        mp = schwinger_moments(state, angles)
+        md = schwinger_moments(to_density_matrix(state), angles)
+        assert mp.ntot == float(n)
+        for attr, k in order.items():
+            pure, density = getattr(mp, attr), getattr(md, attr)
+            if isinstance(pure, dict):
+                assert list(pure) == list(density) == list(angles), attr
+                pairs = [(pure[t], density[t]) for t in angles]
+            else:
+                pairs = [(pure, density)]
+            for p, d in pairs:
+                assert abs(p - d) <= 1e-14 * max(n / 2, 1) ** k, (n, attr)
+
+
+def test_pure_squeezed_variance_matches_extended_precision():
+    # the N = 500, g = 0.5 Josephson ground state, turned by exp(i pi sigma_x/4)
+    # so that J_Y is its squeezed component: norms of J_Y d give the variance
+    # to rounding, where the monomial forms (differences of terms of order
+    # N^2/4) miss it by about 5e-12 relative
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    n = 500
+    ground = FixedNState.from_amplitudes(build_hamiltonian(n, 0.5).eigenvectors[:, 0])
+    turn = np.cos(np.pi / 4) * np.eye(2) + 1j * np.sin(np.pi / 4) * np.array([[0, 1], [1, 0]])
+    state = mode_transform(ground, turn)
+    d = state.amplitudes.astype(np.clongdouble)
+    m = np.arange(n, dtype=np.longdouble)
+    up = np.sqrt((m + 1) * (n - m))
+    jy_d = np.zeros_like(d)
+    jy_d[:-1] += up * d[1:] / 2j
+    jy_d[1:] -= up * d[:-1] / 2j
+    reference = np.vdot(jy_d, jy_d).real - np.vdot(d, jy_d).real ** 2
+    assert 11.08 < reference < 11.09
+    assert abs(schwinger_moments(state).jy_var - reference) <= 1e-13 * reference
 
 
 def test_schwinger_mixture_matches_dense_operators():

@@ -109,3 +109,23 @@ def test_recipe_validation():
         StateRecipe.from_json({"kind": "noon", "n": 5, "bogus_key": 1})
     with pytest.raises(ValueError):
         StateRecipe.from_json({"n": 5})
+    with pytest.raises(ValueError):
+        StateRecipe.from_json([["kind", "noon"], ["n", 5]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"n": 5.7}, {"n": True}, {"n": "5"}, {"n": None}, {"phase": True}, {"phase": "0.5"},
+     {"phase": None}, {"kind": "embedded_initial", "n_l": 2.9},
+     {"kind": "embedded_initial", "n_l": True}, {"kind": "number_pair", "n_l": "2"}],
+)
+def test_recipe_json_takes_integers_and_numbers_only(entry):
+    # JSON floats, bools, strings and nulls are refused, never coerced
+    with pytest.raises(ValueError):
+        StateRecipe.from_json({"kind": "noon", "n": 6, **entry})
+
+
+def test_recipe_json_accepts_an_integer_phase():
+    recipe = StateRecipe.from_json({"kind": "noon", "n": 6, "phase": 1})
+    assert recipe.phase == 1.0 and isinstance(recipe.phase, float)
+    assert StateRecipe.from_json(recipe.to_json()) == recipe
