@@ -23,14 +23,22 @@ sliced for each N.
 
 Pure and mixed states go through one array kernel, ``order_coherences``: it
 takes a (T, N+1) block of amplitude rows, or a density matrix as one row, and
-a set of orders, and returns C_n, S and c_n for every (row, order).  Both
-forms feed one core with the order-n pairs of each row laid out (rows,
-orders, pairs): magnitudes, log magnitudes, unit phases, a support mask and
-the log factorial weights B.  Pure pairs (d_m, d_{m+n}) are strided views of
-the rows, with B_m from a log table built on the first use of each N and
-cached; a density matrix's pairs are the order-n subdiagonals of its sector
-blocks, each with its own B.  S is one masked argmax over a row's pairs, and
-an order without a supported pair gives c_n = 0 with nan S in both forms.
+a set of orders, and returns C_n, S and c_n for every (row, order), by one
+of two routes.  A pure row's pairs (d_m, d_{m+n}) are strided views of the
+row, and their log factorial weight log B_m(n) is concave in m and symmetric
+about the centre (N - n)/2.  So S is B at the supported pair nearest the
+centre, found by a search outward from it; of two pairs equally far from
+it, S takes the one with the higher float log B, the lower m on equal
+values.  C_n is one magnitude dot per (row, order), and c_n one dot with
+the weights T = B_m / B_centre in (0, 1], cached per N, scaled by
+B_centre / S.  A density matrix's pairs are the order-n subdiagonals of its
+sector blocks, each with its own B, and log B has no centre there: they go
+through one core, ``_order_core``, laid out (rows, orders, pairs) as
+magnitudes, log magnitudes, unit phases, a support mask and log B.  There S
+is one masked argmax over a row's pairs, and every term is formed from log
+magnitudes.  Pure orders whose log B spans more than ``GAP_LIMIT`` (from
+about N = 4200) take that route too.  An order without a supported pair
+gives c_n = 0 with nan S in both routes.
 ``catness_fidelity`` (one state, one order), ``s_factor``,
 ``coherence_report`` (one state, all orders) and ``dynamics.evolve`` (T
 rows) all call it.  Reports hold per-order scalars; the element lists are
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -317,9 +326,9 @@ def spread(state: State) -> int:
 # Bytes the kernel's temporaries may hold at once, whatever the number of
 # rows and orders.
 KERNEL_BYTES = 32 * 2**20
-# Upper bound on the live temporary bytes per (row, order, pair) element:
-# about 45 for pure rows and 61 for a density matrix, whose pairs also carry
-# their own log B.
+# Upper bound on the live temporary bytes per (row, order, pair) element of
+# ``_order_core``: about 45 for pure rows and 61 for a density matrix, whose
+# pairs also carry their own log B.
 _ELEMENT_BYTES = 64
 # Elements per call of the core (one row and one order at least): a quarter
 # of the budget.  Larger calls ran slower, as each one's temporaries landed
@@ -328,35 +337,77 @@ _ELEMENT_BYTES = 64
 # 43 ms in calls of 2^19 against 12-18 ms in calls of 2^15-2^17 (2-core
 # Xeon VM, numpy 2.4).
 _CHUNK = KERNEL_BYTES // (4 * _ELEMENT_BYTES)
+# (row, order, pair) elements per call of the pure route.  Its temporaries
+# take at most 24 bytes per element (the partner copies of orders that are
+# not consecutive), so a call stays within half of the budget.
+_PURE_CHUNK = KERNEL_BYTES // 64
+# (order, pair) elements of the weights T that one group of orders of the
+# pure route reads, as complex: 512 kB.
+_WEIGHT_CHUNK = 2**15
+# The pure route scales c_n by B_centre / S = exp(log B_centre - log S) and
+# weighs pair m by T = exp(log B_m - log B_centre).  Both stay normal float64
+# while log B_centre - log B_m is below this for every m of an order; the
+# orders where it is not (from about N = 4200) go through ``_order_core``.
+GAP_LIMIT = 600.0
+
+
+def _log_b(total_number: int, order, m):
+    """log B_m(n) = log sqrt((m+n)! (N-m)! / (m! (N-m-n)!)) of broadcast
+    orders n and indices m; -inf where m > N - n."""
+    return 0.5 * (
+        log_factorial(m + order)
+        - log_factorial(m)
+        + log_factorial(total_number - m)
+        - log_factorial(total_number - m - order)
+    )
+
+
+class _OrderTables(NamedTuple):
+    """Per-order tables of one N, indexed by the order n = 0..N."""
+
+    weights: np.ndarray  # [n, m]: T = B_m(n) / B_centre(n) in (0, 1]; 0 where m > N - n
+    log_centre: np.ndarray  # log B_centre(n), the largest log B_m(n) over m
+    gap: np.ndarray  # log B_centre(n) - log B_0(n), the widest span of log B_m(n)
+    norm: np.ndarray  # normalization(N, n); nan at n = 0
 
 
 @lru_cache(maxsize=8)
-def _order_tables(total_number: int) -> tuple[np.ndarray, np.ndarray]:
-    """log B_m[n, m] = log sqrt((m+n)! (N-m)! / (m! (N-m-n)!)) for every order
-    n = 0..N (-inf where m > N - n), and the normalization of each order."""
+def _order_tables(total_number: int) -> _OrderTables:
+    """The ``_OrderTables`` of N, built on the first use of each N and cached
+    as read-only arrays; the weights take 8 (N+1)^2 bytes (2 MB at N = 500)."""
     n_tot = total_number
-    order = np.arange(n_tot + 1)[:, None]
-    m = np.arange(n_tot + 1)
-    log_b = 0.5 * (
-        log_factorial(m + order)
-        - log_factorial(m)
-        + log_factorial(n_tot - m)
-        - log_factorial(n_tot - m - order)
+    order = np.arange(n_tot + 1)
+    weights = _log_b(n_tot, order[:, None], order)  # log B until the exp below
+    log_centre = weights.max(axis=1)
+    gap = log_centre - weights[:, 0]
+    weights -= log_centre[:, None]
+    np.exp(weights, out=weights)
+    norm = np.array([np.nan] + [normalization(n_tot, n) for n in range(1, n_tot + 1)])
+    tables = _OrderTables(weights, log_centre, gap, norm)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _windows(padded: np.ndarray, width: int) -> np.ndarray:
+    """[t, p, j] -> padded[t, p + j] for j < ``width``: a read-only strided
+    view of a 2-D array."""
+    rows, size = padded.shape
+    row_step, step = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, (rows, size - width + 1, width), (row_step, step, step), writeable=False
     )
-    norms = np.array([np.nan] + [normalization(n_tot, n) for n in range(1, n_tot + 1)])
-    log_b.setflags(write=False)
-    norms.setflags(write=False)
-    return log_b, norms
 
 
-def _partners(values: np.ndarray, orders: np.ndarray, fill) -> np.ndarray:
-    """[t, k, m] -> values[t, m + orders[k]], ``fill`` past the end; a strided
-    view of the padded rows when the orders are consecutive."""
+def _partners(values: np.ndarray, orders: np.ndarray, fill, width: int | None = None) -> np.ndarray:
+    """[t, k, m] -> values[t, m + orders[k]] for m < ``width`` (default: the
+    row length), ``fill`` past the end; a strided view of the padded rows
+    when the orders are consecutive."""
     rows, dim = values.shape
     padded = np.concatenate(
         (values, np.full((rows, int(orders.max())), fill, values.dtype)), axis=1
     )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, dim, axis=1)
+    windows = _windows(padded, width or dim)
     first = int(orders[0])
     if np.array_equal(orders, np.arange(first, first + orders.size)):
         return windows[:, first : first + orders.size]
@@ -415,24 +466,33 @@ def order_coherences(rows, orders, support_eps: float = SUPPORT_EPS) -> OrderArr
     """C_n, S and c_n of pure or mixed states at every order.
 
     ``rows`` is a (T, N+1) block of amplitude rows, one amplitude row, a
-    ``FixedNState`` or a ``TwoModeDensityMatrix``; a state is one row.  Both
-    forms go through one core.  At order n a state's pairs are the order-n
-    coherence elements <n', m'+n| rho |n'+n, m'> of every sector N' = n' +
-    m' + n, each with the factorial weight B = sqrt((m'+n)!/m'! (n'+n)!/n'!);
-    a pure row has one sector, N, and the products d_m conj(d_{m+n}).  Then
-    C_n = N_{n} sum |pair|; S = max B over the supported pairs (both
-    populations above ``support_eps``, first pair on ties); and c_n = N_{n}
-    |sum pair B / S| over every pair with a nonzero element, each term formed
-    from log magnitudes so that B, which overflows float64 at large N, never
-    appears on its own.  A row or order without a supported pair has c_n = 0:
-    0 is a valid lower bound.  N_{n} is ``normalization(N, n)``; a density
-    matrix uses its largest supported total number for N, and orders above
-    that N give zeros.
+    ``FixedNState`` or a ``TwoModeDensityMatrix``; a state is one row.  At
+    order n a state's pairs are the order-n coherence elements <n', m'+n|
+    rho |n'+n, m'> of every sector N' = n' + m' + n, each with the factorial
+    weight B = sqrt((m'+n)!/m'! (n'+n)!/n'!); a pure row has one sector, N,
+    and the products d_m conj(d_{m+n}).  Then C_n = N_{n} sum |pair|; S =
+    max B over the supported pairs (both populations above ``support_eps``),
+    the first pair when float log B values tie; and c_n = N_{n} |sum pair B
+    / S| over every pair.  B overflows float64 at large N, so it never
+    appears on its own.  A row or order without a supported pair has c_n =
+    0: 0 is a valid lower bound.  N_{n} is ``normalization(N, n)``; a
+    density matrix uses its largest supported total number for N, and
+    orders above that N give zeros.
 
-    Pure pairs are strided views of the rows, with B from a table cached per
-    N; density pairs are the block subdiagonals that ``coherences`` gathers,
-    with B per pair.  Rows and orders are taken in chunks so the temporaries
-    stay within ``KERNEL_BYTES``.
+    The two forms take two routes.  A pure row's log B_m(n) is concave in m
+    and symmetric about the centre (N - n)/2, so S is B at the supported
+    pair nearest the centre, found by a search outward from it.  When the
+    nearest pairs on both sides lie equally far, they are mirror images
+    whose log B differ only by rounding: the higher float value wins, and
+    the lower m on equal values, as the first maximum of a masked argmax
+    would.  Then c_n = N_{n} |sum_m d_m conj(d_{m+n}) T[n, m]| B_centre / S
+    with T = B_m / B_centre in (0, 1] cached per N, and C_n is one
+    magnitude dot.  Orders whose log B spans more than ``GAP_LIMIT`` (from
+    about N = 4200) and density matrices go through ``_order_core``: S is a
+    masked argmax over each pair's float log B, and every term is formed
+    from log magnitudes.  Density pairs are the block subdiagonals that
+    ``coherences`` gathers, with B per pair.  Rows and orders are taken in
+    chunks so the temporaries stay within ``KERNEL_BYTES``.
     """
     orders = np.fromiter(orders, dtype=int)
     if orders.size and orders.min() < 1:
@@ -459,33 +519,127 @@ def order_coherences(rows, orders, support_eps: float = SUPPORT_EPS) -> OrderArr
 
 def _pure_orders(result: OrderArrays, amps: np.ndarray, support_eps: float) -> None:
     rows, dim = amps.shape
-    n_tot = dim - 1
-    live = np.flatnonzero(result.orders <= n_tot)
+    live = np.flatnonzero(result.orders <= dim - 1)
     if not live.size or not rows:
         return
-    log_b_all, norms = _order_tables(n_tot)
-    result.norm[live] = norms[result.orders[live]]
+    tables = _order_tables(dim - 1)
+    live = live[np.argsort(result.orders[live], kind="stable")]  # ascending orders
+    result.norm[live] = tables.norm[result.orders[live]]
+    held = np.abs(amps) ** 2 > support_eps
+    far = tables.gap[result.orders[live]] > GAP_LIMIT
+    _centred_orders(result, amps, held, live[~far], tables)
+    _searched_orders(result, amps, held, live[far])
+
+
+def _store_s(result: OrderArrays, block: slice, cols, n_tot: int, s_log, s_m) -> None:
+    """Write log S and S's pair (n', m') of a chunk of pure rows with N =
+    ``n_tot``; ``s_m`` is -1 without a supported pair."""
+    result.s_log[block, cols], result.s_m[block, cols] = s_log, s_m
+    result.s_left[block, cols] = np.where(s_m >= 0, n_tot - result.orders[cols] - s_m, -1)
+
+
+def _centred_orders(result, amps, held, live, tables) -> None:
+    """C_n, S and c_n at the ascending orders of ``live`` columns: S located
+    from the centre at every order, then C_n and c_n in groups of orders
+    from the cached weights T."""
+    if not live.size:
+        return
+    rows, dim = amps.shape
+    n_tot = dim - 1
+    orders = result.orders[live]
+    row_step = max(1, _PURE_CHUNK // (orders.size * dim))
+    for start in range(0, rows, row_step):
+        block = slice(start, start + row_step)
+        # a pair spans n, so orders above the widest span of held amplitudes
+        # have none
+        ends = np.flatnonzero(held[block].any(axis=0))
+        cut = np.searchsorted(orders, ends[-1] - ends[0], "right") if ends.size else 0
+        if cut:
+            _store_s(result, block, live[:cut], n_tot, *_centre_pairs(held[block], orders[:cut]))
+    done = 0
+    while done < live.size:
+        width = dim - int(orders[done])  # pairs of the group's lowest order
+        group = slice(done, done + max(1, _WEIGHT_CHUNK // width))
+        done = min(group.stop, live.size)
+        cols, picked = live[group], orders[group]
+        weights = tables.weights[picked, :width].astype(complex)
+        log_centre, norm = tables.log_centre[picked], tables.norm[picked]
+        row_step = max(1, _PURE_CHUNK // weights.size)
+        for start in range(0, rows, row_step):
+            block = slice(start, start + row_step)
+            d = amps[block]
+            mag = np.abs(d)
+            mags = _partners(mag, picked, 0.0, width)
+            result.fidelity[block, cols] = norm * np.einsum("tm,tkm->tk", mag[:, :width], mags)
+            conj = _partners(d.conj(), picked, 0.0, width)
+            moment = np.einsum("km,tm,tkm->tk", weights, d[:, :width], conj)
+            # B_centre / S; without support S = +inf, which zeroes c_n
+            s_log = result.s_log[block, cols]
+            scale = np.exp(log_centre - np.where(np.isnan(s_log), np.inf, s_log))
+            result.bound[block, cols] = norm * np.abs(moment) * scale
+
+
+def _centre_pairs(held: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log S and the m of S's pair for each (row, order) of ascending
+    ``orders``, given the rows' support mask: nan and -1 without a supported
+    pair.
+
+    On each side of the centre, the first supported pair outward from it is
+    the first True of a run of pair masks (``held`` at m and m + n) that
+    starts at the centre.  The side below is the side above of the reversed
+    rows, whose pair m' is pair N - n - m' of the rows.  The nearer of the
+    two candidates is S's pair; equally far candidates are compared by
+    their float log B, as ``order_coherences`` describes.
+    """
+    rows, dim = held.shape
+    span = dim - 1 - orders  # the last m of each order
+    above = (span + 1) // 2  # the first m at or above the centre span / 2
+    width = int(span[0]) // 2 + 1  # positions from there to the end of the lowest order
+    # the rows, then the reversed rows, each padded with False
+    sides = np.zeros((2 * rows, dim + width), dtype=bool)
+    sides[:rows, :dim], sides[rows:, :dim] = held, held[:, ::-1]
+    windows = _windows(sides, width)
+    # a True after the last position makes the step ``width`` without a pair
+    pairs = np.empty((2 * rows, orders.size, width + 1), dtype=bool)
+    pairs[..., width] = True
+    np.logical_and(windows[:, above], windows[:, above + orders], out=pairs[..., :width])
+    steps = pairs.argmax(axis=-1)
+    up, down = steps[:rows], steps[rows:]
+    # m = above + up lies up + (span % 2) / 2 above the centre, and m =
+    # span - above - down as far below it with down for up: the smaller step
+    # is the nearer side, and equal steps give mirror images (or one m).  A
+    # side without a pair is clipped into range and never picked.
+    candidates = np.stack((np.minimum(above + up, span), np.maximum(span - above - down, 0)))
+    log_b = _log_b(dim - 1, orders, candidates)
+    pick_high = (up < down) | ((up == down) & (log_b[0] > log_b[1]))
+    missing = np.minimum(up, down) == width
+    s_log = np.where(missing, np.nan, np.where(pick_high, log_b[0], log_b[1]))
+    return s_log, np.where(missing, -1, np.where(pick_high, *candidates))
+
+
+def _searched_orders(result, amps, held, live) -> None:
+    """C_n, S and c_n at the orders of ``live`` columns through ``_order_core``."""
+    rows, dim = amps.shape
     order_step = max(1, min(live.size, _CHUNK // dim))
     row_step = max(1, _CHUNK // (order_step * dim))
     for first in range(0, live.size, order_step):
         cols = live[first : first + order_step]
         picked = result.orders[cols]
-        log_b, norm = log_b_all[picked], norms[picked]
+        log_b = _log_b(dim - 1, picked[:, None], np.arange(dim))
         for start in range(0, rows, row_step):
             block = slice(start, start + row_step)
             mag, log_mag, unit = _polar(amps[block])
-            held = mag**2 > support_eps
+            supported = held[block]
             fidelity, bound, s_log, s_m = _order_core(
                 mag[:, None, :] * _partners(mag, picked, 0.0),
                 log_mag[:, None, :] + _partners(log_mag, picked, -np.inf),
                 unit[:, None, :] * _partners(unit.conj(), picked, 0.0),
-                held[:, None, :] & _partners(held, picked, False),
+                supported[:, None, :] & _partners(supported, picked, False),
                 log_b,
-                norm,
+                result.norm[cols],
             )
             result.fidelity[block, cols], result.bound[block, cols] = fidelity, bound
-            result.s_log[block, cols], result.s_m[block, cols] = s_log, s_m
-            result.s_left[block, cols] = np.where(s_m >= 0, n_tot - picked - s_m, -1)
+            _store_s(result, block, cols, dim - 1, s_log, s_m)
 
 
 def _density_orders(result: OrderArrays, rho: TwoModeDensityMatrix, support_eps: float) -> None:
@@ -553,9 +707,11 @@ def _order_core(pair, log_pair, phase, supported, log_b, norm):
     s_log = np.take_along_axis(masked, s_index[..., None], axis=-1)[..., 0]
     del masked
     found = s_log > -np.inf
-    # Every pair enters the sum, the unsupported ones with weights B / S
-    # that may exceed 1.  A certified c_n would take the summed ``weight``
-    # of the pairs where ``supported`` is false off |sum| before scaling.
+    # In both routes every pair enters the sum, the unsupported ones with
+    # weights B / S that may exceed 1.  A certified c_n would take the
+    # summed magnitude of the unsupported terms off |sum| before scaling:
+    # here the summed ``weight`` where ``supported`` is false, and in the
+    # pure route one more masked magnitude dot, of |d_m d_{m+n}| T[n, m].
     # Without support S = +inf, which zeroes every weight and so c_n.
     weight = log_pair
     weight += log_b
@@ -624,13 +780,14 @@ def catness_fidelity(
     state: State, order: int, support_eps: float = SUPPORT_EPS
 ) -> OrderCoherence:
     """C_n and c_n of a pure or mixed state at the given coherence order: one
-    column of ``order_coherences``, whose core serves both forms.
+    column of ``order_coherences``, which serves both forms.
 
     For pure fixed-N states C_n is exact; for mixed states the element sum is
     normalized with the fixed-N constant of the largest supported total
     number (see coherence_report, which flags this choice).  The bound is
-    evaluated term by term relative to S in log space, so it stays finite for
-    N up to several hundred; without a supported pair it is 0.
+    formed relative to S (pure: with the cached weights B / B_centre; mixed:
+    term by term in log space), so it stays finite where B itself overflows
+    float64; without a supported pair it is 0.
     """
     return order_coherences(state, (order,), support_eps).entries()[0]
 

@@ -564,11 +564,15 @@ def cross_moment(state: State, n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def ladder_coefficients(n_tot: int) -> np.ndarray:
     """sqrt((m+1)(N-m)) for m = 0..N-1: the b^dag a element coupling m to m+1
-    in the |N-m>_a |m>_b sector basis (a^dag b couples m+1 back to m)."""
+    in the |N-m>_a |m>_b sector basis (a^dag b couples m+1 back to m);
+    cached per N as a read-only array."""
     m = np.arange(n_tot)
-    return np.sqrt((m + 1) * (n_tot - m))
+    up = np.sqrt((m + 1) * (n_tot - m))
+    up.setflags(write=False)
+    return up
 
 
 def _sector_spin(d: np.ndarray, n_tot: int, u: complex) -> np.ndarray:
@@ -645,13 +649,9 @@ def schwinger_moments(
         jxy_anti = 2.0 * np.vdot(jx_d, jy_d).real
         jz_values, probs, ntot = _sector_jz_values(n_tot), np.abs(d) ** 2, n_tot
 
-        def second(u: complex) -> float:
+        def in_plane(u: complex) -> tuple[float, float]:
             w = _sector_spin(d, n_tot, u)
-            return np.vdot(w, w).real
-
-        def third(u: complex) -> float:
-            w = _sector_spin(d, n_tot, u)
-            return np.vdot(w, _sector_spin(w, n_tot, u)).real
+            return np.vdot(w, w).real, np.vdot(w, _sector_spin(w, n_tot, u)).real
 
     else:
         one, two, pair, mean_na, mean_nb, three, *mixed = _moments(state, _SPIN_MONOMIALS).tolist()
@@ -659,25 +659,24 @@ def schwinger_moments(
         number = (2.0 * pair.real + mean_na.real + mean_nb.real) / 4.0
         cubic = 3.0 * sum(mixed) + one
 
-        def second(u: complex) -> float:
-            return 2.0 * (u * u * two).real + number
-
-        def third(u: complex) -> float:
-            return 2.0 * (u**3 * three + u * u * u.conjugate() * cubic).real
+        def in_plane(u: complex) -> tuple[float, float]:
+            return (
+                2.0 * (u * u * two).real + number,
+                2.0 * (u**3 * three + u * u * u.conjugate() * cubic).real,
+            )
 
         jx, jy, jxy_anti = one.real, one.imag, two.imag
         # J_Y at the angle loop's rounded u for pi/2, so jy2 == jtheta2[pi/2]
-        jx2, jy2 = second(0.5), second(np.exp(-1j * np.pi / 2) / 2.0)
+        jx2, jy2 = in_plane(0.5)[0], in_plane(np.exp(-1j * np.pi / 2) / 2.0)[0]
         index = _block_index(state.cutoff)
         probs = state._flat[index.diag].real
         jz_values = (index.n_a - index.n_b) / 2.0
         ntot = np.sum((index.n_a + index.n_b) * probs)
     jtheta2, jtheta3, gtheta3 = {}, {}, {}
     for theta in dict.fromkeys(angles):  # each distinct angle once
-        u = np.exp(-1j * theta) / 2.0
-        jtheta2[theta] = float(second(u))
-        jtheta3[theta] = float(third(u))
-        gtheta3[theta] = float(third(np.exp(-1j * (theta + np.pi / 2)) / 2.0))
+        second, third = in_plane(np.exp(-1j * theta) / 2.0)
+        jtheta2[theta], jtheta3[theta] = float(second), float(third)
+        gtheta3[theta] = float(in_plane(np.exp(-1j * (theta + np.pi / 2)) / 2.0)[1])
     return SchwingerMoments(
         jx=float(jx), jy=float(jy), jz=float(np.sum(jz_values * probs)), ntot=float(ntot),
         jx2=float(jx2), jy2=float(jy2), jz2=float(np.sum(jz_values**2 * probs)),

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -21,6 +22,7 @@ from noon_coherence import (
     s_factor,
     spread,
     to_density_matrix,
+    tunnelling_period,
 )
 from noon_coherence import cli, coherence
 from noon_coherence.coherence import KERNEL_BYTES
@@ -361,6 +363,30 @@ def _evolved_state(n_tot: int) -> FixedNState:
     return trace.state_at(0)
 
 
+def _holed_state(n_tot: int, rng: np.random.Generator) -> FixedNState:
+    """A random state with about 40 % of its probabilities below SUPPORT_EPS,
+    so S's pair often lies off the centre."""
+    amps = random_fixed_state(n_tot, rng).amplitudes.copy()
+    amps[rng.random(n_tot + 1) < 0.4] *= 1e-6
+    return FixedNState.from_amplitudes(amps)
+
+
+def _assert_matches_reference(arrays, states, where):
+    """Every row and order of ``arrays`` against ``reference_pure_catness``:
+    C_n and c_n within EQ_TOL, S's pair and log S exactly."""
+    for row, state in enumerate(states):
+        for k, order in enumerate(arrays.orders.tolist()):
+            fidelity, bound, norm, s_log, s_pair = reference_pure_catness(state, order)
+            at = f"{where} row {row} n={order}"
+            assert close(arrays.fidelity[row, k], fidelity, EQ_TOL), at
+            assert close(arrays.bound[row, k], bound, EQ_TOL), at
+            assert close(arrays.norm[k], norm, EQ_TOL), at
+            got = (int(arrays.s_left[row, k]), int(arrays.s_m[row, k]))
+            assert (got if got[1] >= 0 else None) == s_pair, at
+            assert arrays.s_log[row, k] == s_log or np.isnan(s_log) and np.isnan(arrays.s_log[row, k]), at
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n_tot", [20, 100, 500])
 def test_kernel_matches_per_order_reference(n_tot):
     rng = np.random.default_rng(n_tot)
@@ -368,6 +394,7 @@ def test_kernel_matches_per_order_reference(n_tot):
         "binomial": make_binomial_splitter(n_tot),
         "noon": make_noon(n_tot, 0.3),
         "random": random_fixed_state(n_tot, rng),
+        "holed": _holed_state(n_tot, rng),
         "evolved": _evolved_state(n_tot),
     }
     for name, state in states.items():
@@ -384,11 +411,60 @@ def test_kernel_matches_per_order_reference(n_tot):
             if s_pair is None:
                 assert np.isnan(entry.s_log) and np.isnan(entry.s_value), where
             else:
-                assert close(entry.s_log, s_log, EQ_TOL), where
+                assert entry.s_log == s_log, where
                 if s_log < np.log(np.finfo(float).max):
                     assert close(entry.s_value, np.exp(s_log), EQ_TOL), where
                 else:
                     assert entry.s_value == np.inf, where
+
+
+# (N, g, n_L, samples): the two tunnelling systems of the benchmark's pure
+# workload over one tunnelling period, and a weakly interacting N = 500
+# system over three time units
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_tot, g, n_l, samples", [(20, 4.0, 4, 48), (100, 80.0, 46, 12), (500, 0.3, 120, 6)])
+def test_kernel_matches_reference_on_evolved_blocks(n_tot, g, n_l, samples):
+    system = build_hamiltonian(n_tot, g)
+    initial = make_number_pair(n_l, n_tot)
+    period = 3.0 if n_tot == 500 else tunnelling_period(system, initial).value
+    trace = evolve(system, initial, np.linspace(0.0, 1.0, samples) * period, orders=())
+    arrays = order_coherences(trace.amplitudes, range(1, n_tot + 1))
+    states = [trace.state_at(row) for row in range(samples)]
+    _assert_matches_reference(arrays, states, f"N={n_tot}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_routes_wide_orders_through_the_searched_core(monkeypatch):
+    # Orders whose log B spans more than GAP_LIMIT go through _order_core;
+    # at the real limit that starts near N = 4200, so lower it here.
+    calls = []
+    core = coherence._order_core
+    monkeypatch.setattr(coherence, "_order_core", lambda *a: calls.append(1) or core(*a))
+    monkeypatch.setattr(coherence, "GAP_LIMIT", 5.0)
+    rng = np.random.default_rng(45)
+    states = [random_fixed_state(100, rng), _holed_state(100, rng), _evolved_state(100)]
+    orders = [1, 2, 40, 3, 99, 100, 40, 60]
+    arrays = order_coherences(np.stack([s.amplitudes for s in states]), orders)
+    assert calls
+    wide = coherence._order_tables(100).gap[orders] > 5.0
+    assert wide.any() and not wide.all()
+    _assert_matches_reference(arrays, states, "N=100, GAP_LIMIT 5")
+
+
+@pytest.mark.parametrize("n_tot, widest", [(20, 2.165), (100, 13.288), (500, 70.426)])
+def test_log_b_falls_less_than_the_gap_limit_from_centre_to_edge(n_tot, widest):
+    # log B_m(n) is largest at the centre pair m = (N - n)/2 and smallest at
+    # the edge pair m = 0; the pure route needs the fall between them below
+    # GAP_LIMIT, which it stays under to N of about 4200 (about 0.143 N).
+    def log_b(m, n):
+        return 0.5 * (
+            math.lgamma(m + n + 1) - math.lgamma(m + 1)
+            + math.lgamma(n_tot - m + 1) - math.lgamma(n_tot - m - n + 1)
+        )
+
+    falls = np.array([log_b((n_tot - n) // 2, n) - log_b(0, n) for n in range(1, n_tot + 1)])
+    assert abs(falls.max() - widest) < 1e-3 and widest < coherence.GAP_LIMIT
+    assert np.allclose(coherence._order_tables(n_tot).gap[1:], falls, rtol=1e-12, atol=1e-12)
 
 
 def test_kernel_takes_any_order_set():
