@@ -31,14 +31,18 @@ centre, found by a search outward from it; of two pairs equally far from
 it, S takes the one with the higher float log B, the lower m on equal
 values.  C_n is one magnitude dot per (row, order), and c_n one dot with
 the weights T = B_m / B_centre in (0, 1], cached per N, scaled by
-B_centre / S.  A density matrix's pairs are the order-n subdiagonals of its
-sector blocks, each with its own B, and log B has no centre there: they go
-through one core, ``_order_core``, laid out (rows, orders, pairs) as
-magnitudes, log magnitudes, unit phases, a support mask and log B.  There S
-is one masked argmax over a row's pairs, and every term is formed from log
-magnitudes.  Pure orders whose log B spans more than ``GAP_LIMIT`` (from
-about N = 4200) take that route too.  An order without a supported pair
-gives c_n = 0 with nan S in both routes.
+B_centre / S.  Pure orders whose log B spans more than ``GAP_LIMIT`` (from
+about N = 4200) go through ``_order_core`` instead, which lays the pairs out
+(rows, orders, pairs) and forms every term from log magnitudes.  A density
+matrix's pairs are the order-n subdiagonals of its sector blocks, each with
+its own B, and log B has no centre there.  Every order's pairs, with their
+store positions, population indices and log B, are one segment of a pair
+table cached per cutoff (``fock._pair_table``); the density route gathers
+the requested orders' segments once and reduces each: C_n sums |v|, log S
+is the segment maximum of log B over the supported pairs (its first pair
+when float values tie), and c_n sums v B / S with B / S = exp(log B -
+log S).  An order without a supported pair gives c_n = 0 with nan S in
+every route.
 ``catness_fidelity`` (one state, one order), ``s_factor``,
 ``coherence_report`` (one state, all orders) and ``dynamics.evolve`` (T
 rows) all call it.  Reports hold per-order scalars; the element lists are
@@ -53,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FixedNState, State, TwoModeDensityMatrix, _block_index, log_factorial
+from .fock import FixedNState, State, TwoModeDensityMatrix, _block_index, _pair_table, log_factorial
 from .tolerances import ELEMENT_TOL, SUPPORT_EPS
 
 
@@ -327,12 +331,14 @@ def spread(state: State) -> int:
 # rows and orders.
 KERNEL_BYTES = 32 * 2**20
 # Upper bound on the live temporary bytes per (row, order, pair) element of
-# ``_order_core``: about 45 for pure rows and 61 for a density matrix, whose
-# pairs also carry their own log B.
+# ``_order_core``, which serves pure orders past ``GAP_LIMIT``: about 45.
 _ELEMENT_BYTES = 64
 # Elements per call of the core (one row and one order at least): a quarter
-# of the budget.  Larger calls ran slower, as each one's temporaries landed
-# on fresh pages: all orders of one N = 500 row took 9.8 ms in one call
+# of the budget.  The density route takes as many pairs per chunk (one
+# order at least); at about 80 bytes per pair (a complex value and term,
+# log B, the support mask, log S and the rows read) a chunk stays under a
+# third of the budget.  Larger calls ran slower, as each one's temporaries
+# landed on fresh pages: all orders of one N = 500 row took 9.8 ms in one call
 # against 6.1 ms in calls of 2^17 elements, and a cutoff-100 density report
 # 43 ms in calls of 2^19 against 12-18 ms in calls of 2^15-2^17 (2-core
 # Xeon VM, numpy 2.4).
@@ -488,11 +494,15 @@ def order_coherences(rows, orders, support_eps: float = SUPPORT_EPS) -> OrderArr
     would.  Then c_n = N_{n} |sum_m d_m conj(d_{m+n}) T[n, m]| B_centre / S
     with T = B_m / B_centre in (0, 1] cached per N, and C_n is one
     magnitude dot.  Orders whose log B spans more than ``GAP_LIMIT`` (from
-    about N = 4200) and density matrices go through ``_order_core``: S is a
-    masked argmax over each pair's float log B, and every term is formed
-    from log magnitudes.  Density pairs are the block subdiagonals that
-    ``coherences`` gathers, with B per pair.  Rows and orders are taken in
-    chunks so the temporaries stay within ``KERNEL_BYTES``.
+    about N = 4200) go through ``_order_core``: S is a masked argmax over
+    each pair's float log B, and every term is formed from log magnitudes.
+    Density pairs are the block subdiagonals that ``coherences`` lists, each
+    with its own B.  Their route gathers the requested orders' pairs from
+    the pair table cached per cutoff in one pass and reduces each order's
+    segment: S is the segment maximum of log B over the supported pairs,
+    taken at the first pair that attains it, as an argmax would, and c_n =
+    N_{n} |sum v exp(log B - log S)|.  Rows and orders are taken in chunks
+    so the temporaries stay within ``KERNEL_BYTES``.
     """
     orders = np.fromiter(orders, dtype=int)
     if orders.size and orders.min() < 1:
@@ -643,53 +653,79 @@ def _searched_orders(result, amps, held, live) -> None:
 
 
 def _density_orders(result: OrderArrays, rho: TwoModeDensityMatrix, support_eps: float) -> None:
+    """C_n, S and c_n of a density matrix at the orders up to its largest
+    supported total number, from the cached ``_pair_table`` of its cutoff:
+    one gather of the requested orders' pairs (a slice of the table when
+    the orders are consecutive and ascending) and segment reductions over
+    them, in chunks of at most ``_CHUNK`` pairs (one order at least)."""
     n_eff = rho.max_supported_total(support_eps)
-    live = np.flatnonzero(result.orders <= n_eff)
+    live = (result.orders <= n_eff).nonzero()[0]
     if not live.size:
         return
-    live = live[np.argsort(result.orders[live], kind="stable")]
-    picked = result.orders[live]  # ascending
-    norm = result.norm[live] = np.array([normalization(n_eff, n) for n in picked.tolist()])
-    side = rho.cutoff + 1
-    held = (rho.diagonal_probabilities() > support_eps).ravel()  # [n_a * side + n_b]
-    log_fact = log_factorial(np.arange(side))
-    # ``coherences(n)`` lists the pairs with n' + m' <= cutoff - n in an order
-    # that does not depend on n, so each order's (n', m') are a prefix of the
-    # lowest order's, and one table serves every order.
-    left, right, _ = rho.coherences(int(picked[0]))
-    start = 0
-    while start < picked.size:
-        # a chunk is padded to the pair count of its first (lowest) order
-        width = (side - picked[start]) * (side - picked[start] + 1) // 2
-        block = slice(start, start + max(1, _CHUNK // width))
-        start = block.stop
-        n_l, m_r = left[:width], right[:width]
-        fidelity, bound, s_log, s_index = _order_core(
-            *_density_pairs(rho, picked[block], n_l, m_r, held, log_fact), norm[block]
-        )
-        cols = live[block]
-        result.fidelity[:, cols], result.bound[:, cols] = fidelity, bound
-        result.s_log[:, cols] = s_log
-        result.s_left[:, cols] = np.where(s_index >= 0, n_l[s_index], -1)
-        result.s_m[:, cols] = np.where(s_index >= 0, m_r[s_index], -1)
+    picked = result.orders[live]
+    norm = result.norm[live] = _order_tables(n_eff).norm[picked]
+    table = _pair_table(rho.cutoff)
+    held = rho.diagonal_probabilities().ravel() > support_eps  # [n_a * (cutoff+1) + n_b]
+    # every order n <= n_eff <= cutoff has pairs: no segment is empty, as
+    # reduceat needs
+    starts = table.offsets[picked]
+    sizes = table.offsets[picked + 1] - starts
+    run = picked[-1] - picked[0] == picked.size - 1 and (picked[1:] > picked[:-1]).all()
+    step = max(1, _CHUNK // int(table.offsets[1]))  # no order has more pairs than order 0
+    for first in range(0, live.size, step):
+        chunk = slice(first, first + step)
+        lengths = sizes[chunk]
+        bounds = lengths.cumsum() - lengths  # each order's first pair in the chunk
+        count = int(bounds[-1] + lengths[-1])
+        if run:  # one slice of the table
+            pick = slice(int(starts[first]), int(starts[first]) + count)
+            rows = np.arange(pick.start, pick.stop)
+        else:
+            rows = pick = np.arange(count) + (starts[chunk] - bounds).repeat(lengths)
+        fidelity, bound, s_log, at = _density_segments(rho, table, held, pick, rows, bounds, lengths)
+        cols = live[chunk]
+        result.fidelity[0, cols], result.bound[0, cols] = norm[chunk] * fidelity, norm[chunk] * bound
+        result.s_log[0, cols], result.s_left[0, cols], result.s_m[0, cols] = s_log, table.left[at], table.right[at]
 
 
-def _density_pairs(rho, orders, n_l, m_r, held, log_fact):
-    """The core's pair arrays (all but the normalization) of a density matrix
-    at ``orders``: order n takes the first pairs (n_l, m_r) with n_l + m_r <=
-    cutoff - n, and the rest of its row is padding."""
-    side = rho.cutoff + 1
-    values = np.zeros((1, orders.size, n_l.size), dtype=complex)
-    for k, n in enumerate(orders.tolist()):
-        part = rho.coherences(n)[2]
-        values[0, k, : part.size] = part
-    # each pair's order, or 0 on padding, which keeps the indices in range
-    n = np.where(n_l + m_r + orders[:, None] < side, orders[:, None], 0)
-    flat = n_l * side + m_r
-    supported = (n > 0) & held[flat + n] & held[flat + n * side]
-    log_b = 0.5 * (log_fact[m_r + n] - log_fact[m_r] + log_fact[n_l + n] - log_fact[n_l])
-    del n
-    return (*_polar(values), supported[None], log_b)
+# Below this cutoff exp(log B - log S) is finite for every density pair.  At
+# order n the smallest B of any pair is n!, so S >= n!, and B^2 = (n!)^2
+# C(m'+n, n) C(n'+n, n) <= (n!)^2 2^(m'+n'+2n) <= (n!)^2 4^cutoff: B / S <=
+# 2^cutoff, below the float64 maximum (about 2^1024) with room for the
+# rounding of log B and log S.  Above it, terms take the log-magnitude form.
+_EXP_CUTOFF = 1000
+
+
+def _density_segments(rho, table, held, pick, rows, bounds, lengths):
+    """sum |v|, |sum v B / S|, log S and the table row of S's pair (nan and
+    one past the last row without a supported pair) of each segment of a
+    density matrix's pairs v at the pair table ``rows``, read through
+    ``pick`` (the same rows as a slice or an index array): one order's pairs
+    start at each of ``bounds`` and run for ``lengths``."""
+    values = rho._flat[table.position[pick]]
+    log_b = table.log_b[pick]
+    masked = np.where(held[table.row_pop[pick]] & held[table.col_pop[pick]], log_b, -np.inf)
+    s_log = np.maximum.reduceat(masked, bounds)
+    found = s_log > -np.inf
+    # without support S = +inf, which zeroes every term and so c_n
+    s_rep = np.where(found, s_log, np.inf).repeat(lengths)
+    # S's pair: the first row of its segment whose log B is log S
+    at = np.minimum.reduceat(np.where(masked == s_rep, rows, len(table.log_b)), bounds)
+    # Every pair enters the sum, the unsupported ones with weights B / S
+    # that may exceed 1 (see ``_order_core`` on a certified c_n).
+    ratio = log_b - s_rep  # log (B / S)
+    if rho.cutoff <= _EXP_CUTOFF:
+        terms = values * np.exp(ratio, out=ratio)
+    else:
+        _, log_mag, unit = _polar(values)
+        log_mag += ratio
+        terms = unit * np.exp(log_mag, out=log_mag)
+    return (
+        np.add.reduceat(np.abs(values), bounds),
+        np.abs(np.add.reduceat(terms, bounds)),
+        np.where(found, s_log, np.nan),
+        at,
+    )
 
 
 def _order_core(pair, log_pair, phase, supported, log_b, norm):
@@ -707,12 +743,14 @@ def _order_core(pair, log_pair, phase, supported, log_b, norm):
     s_log = np.take_along_axis(masked, s_index[..., None], axis=-1)[..., 0]
     del masked
     found = s_log > -np.inf
-    # In both routes every pair enters the sum, the unsupported ones with
+    # In every route every pair enters the sum, the unsupported ones with
     # weights B / S that may exceed 1.  A certified c_n would take the
     # summed magnitude of the unsupported terms off |sum| before scaling:
-    # here the summed ``weight`` where ``supported`` is false, and in the
-    # pure route one more masked magnitude dot, of |d_m d_{m+n}| T[n, m].
-    # Without support S = +inf, which zeroes every weight and so c_n.
+    # here the summed ``weight`` where ``supported`` is false, in the
+    # centred pure route one more masked magnitude dot, of |d_m d_{m+n}|
+    # T[n, m], and in the density route the sum over the unsupported pairs
+    # of |v| B / S.  Without support S = +inf, which zeroes every weight and
+    # so c_n.
     weight = log_pair
     weight += log_b
     weight -= np.where(found, s_log, np.inf)[..., None]
@@ -786,8 +824,8 @@ def catness_fidelity(
     normalized with the fixed-N constant of the largest supported total
     number (see coherence_report, which flags this choice).  The bound is
     formed relative to S (pure: with the cached weights B / B_centre; mixed:
-    term by term in log space), so it stays finite where B itself overflows
-    float64; without a supported pair it is 0.
+    with the ratio B / S of each pair), so it stays finite where B itself
+    overflows float64; without a supported pair it is 0.
     """
     return order_coherences(state, (order,), support_eps).entries()[0]
 

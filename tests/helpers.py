@@ -323,7 +323,8 @@ def reference_density_catness(
     if order > n_eff:
         return 0.0, 0.0, float("nan"), float("nan"), None
     norm = normalization(n_eff, order)
-    mags = np.abs(rho.coherences(order)[2])
+    # the order-n subdiagonal of every block, read from the blocks themselves
+    mags = np.abs(np.concatenate([np.diagonal(block, -order) for block in rho.blocks[order:]]))
     fidelity = float(norm * mags[2.0 * mags > element_tol].sum())
     mom = moment(rho, OperatorMonomial.cross(order))
     probs = rho.diagonal_probabilities()

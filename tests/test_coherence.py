@@ -24,9 +24,9 @@ from noon_coherence import (
     to_density_matrix,
     tunnelling_period,
 )
-from noon_coherence import cli, coherence
+from noon_coherence import cli, coherence, fock
 from noon_coherence.coherence import KERNEL_BYTES
-from noon_coherence.fock import FixedNState, TwoModeDensityMatrix
+from noon_coherence.fock import FixedNState, TwoModeDensityMatrix, log_factorial
 from noon_coherence.states import (
     make_binomial_splitter,
     make_embedded_cat,
@@ -499,6 +499,32 @@ def test_evolve_series_equals_catness_per_time():
         evolve(system, make_number_pair(4, n_tot), times, [1, 0])
 
 
+def _density_pair_sequence(rho: TwoModeDensityMatrix, order: int):
+    """n', m', log B and the support mask of the order-n pairs in the
+    sequence ``coherences`` documents (n' + m' ascending, then m'), built
+    here from the populations, with log B in the library's float
+    expression."""
+    n_left, m_right = np.array(
+        [(total - m, m) for total in range(rho.cutoff - order + 1) for m in range(total + 1)], dtype=int
+    ).reshape(-1, 2).T
+    lf = log_factorial(np.arange(rho.cutoff + 1))
+    log_b = 0.5 * (lf[m_right + order] - lf[m_right] + lf[n_left + order] - lf[n_left])
+    probs = rho.diagonal_probabilities()
+    supported = (probs[n_left, m_right + order] > SUPPORT_EPS) & (probs[n_left + order, m_right] > SUPPORT_EPS)
+    return n_left, m_right, log_b, supported
+
+
+def _assert_first_maximum(rho: TwoModeDensityMatrix, entry, where: str) -> None:
+    """S's pair is supported, its float log B is exactly ``s_log``, the
+    largest over the supported pairs, and no supported pair before it in
+    the ``coherences`` sequence has that same float value."""
+    n_left, m_right, log_b, supported = _density_pair_sequence(rho, entry.order)
+    at = np.flatnonzero((n_left == entry.s_pair[0]) & (m_right == entry.s_pair[1]))
+    assert at.size == 1 and supported[at[0]], where
+    assert log_b[at[0]] == entry.s_log == log_b[supported].max(), where
+    assert not np.any(supported[: at[0]] & (log_b[: at[0]] == entry.s_log)), where
+
+
 def test_density_kernel_matches_per_order_reference():
     rng = np.random.default_rng(44)
     states = {f"mixture {k}": random_mixture(int(rng.integers(2, 17)), rng) for k in range(4)}
@@ -530,7 +556,83 @@ def test_density_kernel_matches_per_order_reference():
                 if s_pair is not None:
                     assert close(got.s_log, s_log, EQ_TOL), where
                     assert close(got.s_value, np.exp(s_log), EQ_TOL), where
+                    # the reference scans n'-major, so on an exact mirror tie
+                    # its argmax takes the other pair: pin the rule itself
+                    _assert_first_maximum(rho, got, where)
     assert raised >= 10  # the order kernel answers where the per-order route raised
+
+
+def _columns(arrays, k: int) -> tuple:
+    return tuple(
+        float(a[k]) if a.ndim == 1 else float(a[0, k])
+        for a in (arrays.norm, arrays.fidelity, arrays.bound, arrays.s_log, arrays.s_left, arrays.s_m)
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_orders_take_any_order_set_in_any_chunks(monkeypatch):
+    rng = np.random.default_rng(46)
+    rho = apply_loss(random_mixture(16, rng, components=5), LossSetting(0.8, 0.6))
+    top = rho.cutoff + 2
+    full = order_coherences(rho, range(1, top + 1))
+    assert np.any(full.s_m[0] >= 0) and np.any(full.s_m[0] < 0)
+    # one order per chunk, and the default chunks
+    for chunk in (1, coherence._CHUNK):
+        monkeypatch.setattr(coherence, "_CHUNK", chunk)
+        for orders in ([7, 3, 3, 1, top, 16, 5, 2], [9], range(1, top + 1), range(4, 12)):
+            arrays = order_coherences(rho, orders)
+            for k, order in enumerate(arrays.orders.tolist()):
+                got, want = _columns(arrays, k), _columns(full, order - 1)
+                assert np.array_equal(got, want, equal_nan=True), (chunk, list(orders), order)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_log_form_above_the_exp_cutoff(monkeypatch):
+    # B / S <= 2^cutoff at every order: the largest log B of an order lies
+    # within cutoff log 2 of its smallest, log n!, which S cannot undercut
+    for cutoff in (12, 40, 100):
+        table = fock._pair_table(cutoff)
+        for order in range(1, cutoff + 1):
+            segment = table.log_b[table.offsets[order] : table.offsets[order + 1]]
+            assert segment.min() == log_factorial(order)
+            assert segment.max() - segment.min() <= cutoff * np.log(2.0)
+    # Below cutoff 1000 the terms are v exp(log B - log S); the log-magnitude
+    # form above it serves no state that fits in memory, so lower the limit.
+    rng = np.random.default_rng(47)
+    states = [
+        apply_loss(to_density_matrix(make_noon(40, 0.3)), LossSetting(0.6, 0.9)),
+        apply_loss(to_density_matrix(make_embedded_cat(9, 20, 0.7)), LossSetting(0.8, 0.7)),
+        apply_loss(random_mixture(14, rng, components=4), LossSetting.uniform(0.7)),
+    ]
+    direct = [order_coherences(rho, range(1, rho.cutoff + 1)) for rho in states]
+    monkeypatch.setattr(coherence, "_EXP_CUTOFF", 0)
+    for rho, want in zip(states, direct):
+        got = order_coherences(rho, range(1, rho.cutoff + 1))
+        assert np.array_equal(got.fidelity, want.fidelity)
+        assert np.allclose(got.bound, want.bound, rtol=0.0, atol=EQ_TOL)
+        for name in ("s_log", "s_left", "s_m"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_tot", [20, 100])
+def test_density_noon_c_n_is_one_to_the_last_ulp(n_tot):
+    rho = to_density_matrix(make_noon(n_tot))
+    for entry in (catness_fidelity(rho, n_tot), coherence_report(rho).orders[-1]):
+        assert entry.order == n_tot
+        assert abs(entry.bound - 1.0) <= 2 * np.finfo(float).eps, entry.bound
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_tot", [12, 20, 28, 40])
+def test_lossy_noon_c_n_is_the_transmission_product(n_tot):
+    # loss scales the one order-N element of NOON by (eta_a eta_b)^(N/2)
+    loss = LossSetting(0.9, 0.75)
+    rho = apply_loss(to_density_matrix(make_noon(n_tot, 0.3)), loss)
+    want = (loss.eta_a * loss.eta_b) ** (n_tot / 2)
+    for entry in (catness_fidelity(rho, n_tot), coherence_report(rho).orders[-1]):
+        assert entry.order == n_tot
+        assert abs(entry.bound - want) <= 1e-14 * want, (entry.bound, want)
 
 
 @pytest.mark.parametrize("n_tot", [20, 100])
@@ -588,6 +690,22 @@ def test_evolve_memory_stays_within_the_kernel_budget():
         for a in (trace.amplitudes, trace.pm_distributions, trace.jz_mean, *trace.cn_series.values())
     )
     assert peak <= KERNEL_BYTES + outputs, (peak, KERNEL_BYTES, outputs)
+
+
+def test_density_orders_stay_within_the_kernel_budget():
+    # All orders at cutoff 160 hold about 700,000 pairs, near 48 MB of
+    # temporaries in one piece; chunked, the peak stays within the budget.
+    rho = to_density_matrix(make_noon(160))
+    order_coherences(rho, range(1, 161))  # builds and caches the pair table
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        arrays = order_coherences(rho, range(1, 161))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= KERNEL_BYTES, (peak, KERNEL_BYTES)
+    assert abs(arrays.bound[0, -1] - 1.0) <= 2 * np.finfo(float).eps
 
 
 def test_noon_500_report_raises_no_warning():

@@ -246,6 +246,30 @@ def test_density_layout_is_complete_sectors():
     assert sum(block.nbytes for block in noon.blocks) == 5_576_816  # 16 sum_{k<=101} k^2
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 5, 12])
+def test_coherences_are_the_block_subdiagonals(cutoff):
+    rng = np.random.default_rng(310 + cutoff)
+    for rho in mixture_test_states(cutoff, rng):
+        for order in range(1, cutoff + 2):
+            n_left, m_right, values = rho.coherences(order)
+            # sector N = n' + m' + n ascending, then m' ascending: the
+            # subdiagonal block[m' + n, m'] = <n', m'+n| rho |n'+n, m'>
+            totals = range(order, cutoff + 1)
+            want_right = [np.arange(total - order + 1) for total in totals]
+            want_left = [total - order - m for total, m in zip(totals, want_right)]
+            want_values = [np.diagonal(rho.blocks[total], -order) for total in totals]
+            for got, want in ((n_left, want_left), (m_right, want_right), (values, want_values)):
+                want = np.concatenate(want) if want else np.empty(0)
+                assert got.shape == want.shape and (got == want).all(), (order, got, want)
+            assert values.dtype == complex
+        with pytest.raises(ValueError):
+            rho.coherences(-1)
+    for arr in fock._pair_table(cutoff):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def _monomial_sets(size: int) -> list[tuple[tuple[int, ...], ...]]:
     """The quadrature and spin monomials, and single cross monomials of
     orders whose moments stay within float64 range (the order-250 moment of
