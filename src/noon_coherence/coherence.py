@@ -37,12 +37,12 @@ about N = 4200) go through ``_order_core`` instead, which lays the pairs out
 matrix's pairs are the order-n subdiagonals of its sector blocks, each with
 its own B, and log B has no centre there.  Every order's pairs, with their
 store positions, population indices and log B, are one segment of a pair
-table cached per cutoff (``fock._pair_table``); the density route gathers
-the requested orders' segments once and reduces each: C_n sums |v|, log S
-is the segment maximum of log B over the supported pairs (its first pair
-when float values tie), and c_n sums v B / S with B / S = exp(log B -
-log S).  An order without a supported pair gives c_n = 0 with nan S in
-every route.
+table cached per cutoff (``fock._pair_table``); the density route reduces,
+segment by segment, the one slice of the table that runs from the lowest
+order asked for to the highest: C_n sums |v|, log S is the segment maximum
+of log B over the supported pairs (its first pair when float values tie),
+and c_n sums v B / S with B / S = exp(log B - log S).  An order without a
+supported pair gives c_n = 0 with nan S in every route.
 ``catness_fidelity`` (one state, one order), ``s_factor``,
 ``coherence_report`` (one state, all orders) and ``dynamics.evolve`` (T
 rows) all call it.  Reports hold per-order scalars; the element lists are
@@ -336,7 +336,7 @@ _ELEMENT_BYTES = 64
 # Elements per call of the core (one row and one order at least): a quarter
 # of the budget.  The density route takes as many pairs per chunk (one
 # order at least); at about 80 bytes per pair (a complex value and term,
-# log B, the support mask, log S and the rows read) a chunk stays under a
+# log B, the support mask, log S and the row numbers) a chunk stays under a
 # third of the budget.  Larger calls ran slower, as each one's temporaries
 # landed on fresh pages: all orders of one N = 500 row took 9.8 ms in one call
 # against 6.1 ms in calls of 2^17 elements, and a cutoff-100 density report
@@ -497,12 +497,13 @@ def order_coherences(rows, orders, support_eps: float = SUPPORT_EPS) -> OrderArr
     about N = 4200) go through ``_order_core``: S is a masked argmax over
     each pair's float log B, and every term is formed from log magnitudes.
     Density pairs are the block subdiagonals that ``coherences`` lists, each
-    with its own B.  Their route gathers the requested orders' pairs from
-    the pair table cached per cutoff in one pass and reduces each order's
-    segment: S is the segment maximum of log B over the supported pairs,
-    taken at the first pair that attains it, as an argmax would, and c_n =
-    N_{n} |sum v exp(log B - log S)|.  Rows and orders are taken in chunks
-    so the temporaries stay within ``KERNEL_BYTES``.
+    with its own B.  Their route reads the orders from the lowest asked for
+    to the highest as one slice of the pair table cached per cutoff and
+    reduces each order's segment: S is the segment maximum of log B over
+    the supported pairs, taken at the first pair that attains it, as an
+    argmax would, and c_n = N_{n} |sum v exp(log B - log S)|.  Rows and
+    orders are taken in chunks so the temporaries stay within
+    ``KERNEL_BYTES``.
     """
     orders = np.fromiter(orders, dtype=int)
     if orders.size and orders.min() < 1:
@@ -654,72 +655,62 @@ def _searched_orders(result, amps, held, live) -> None:
 
 def _density_orders(result: OrderArrays, rho: TwoModeDensityMatrix, support_eps: float) -> None:
     """C_n, S and c_n of a density matrix at the orders up to its largest
-    supported total number, from the cached ``_pair_table`` of its cutoff:
-    one gather of the requested orders' pairs (a slice of the table when
-    the orders are consecutive and ascending) and segment reductions over
-    them, in chunks of at most ``_CHUNK`` pairs (one order at least)."""
+    supported total number, from the cached ``_pair_table`` of its cutoff.
+    Every order from the lowest to the highest one asked for is reduced,
+    from one slice of the table, in chunks of at most ``_CHUNK`` pairs (one
+    order at least); each asked order then reads its own entry.  The library
+    asks for one order or a run of them; a sparse order set pays for the
+    orders between its ends, at most the cost of all orders."""
+    if rho.cutoff > 1000:  # B / S must stay finite (see ``_density_segments``)
+        raise ValueError("the order kernel takes density matrices up to cutoff 1000")
     n_eff = rho.max_supported_total(support_eps)
-    live = (result.orders <= n_eff).nonzero()[0]
+    live = np.flatnonzero(result.orders <= n_eff)
     if not live.size:
         return
     picked = result.orders[live]
-    norm = result.norm[live] = _order_tables(n_eff).norm[picked]
+    asked = picked.tolist()
+    low, count = min(asked), max(asked) - min(asked) + 1
     table = _pair_table(rho.cutoff)
     held = rho.diagonal_probabilities().ravel() > support_eps  # [n_a * (cutoff+1) + n_b]
-    # every order n <= n_eff <= cutoff has pairs: no segment is empty, as
-    # reduceat needs
-    starts = table.offsets[picked]
-    sizes = table.offsets[picked + 1] - starts
-    run = picked[-1] - picked[0] == picked.size - 1 and (picked[1:] > picked[:-1]).all()
+    per_order = [np.empty(count), np.empty(count), np.empty(count), np.empty(count, dtype=int)]
     step = max(1, _CHUNK // int(table.offsets[1]))  # no order has more pairs than order 0
-    for first in range(0, live.size, step):
-        chunk = slice(first, first + step)
-        lengths = sizes[chunk]
-        bounds = lengths.cumsum() - lengths  # each order's first pair in the chunk
-        count = int(bounds[-1] + lengths[-1])
-        if run:  # one slice of the table
-            pick = slice(int(starts[first]), int(starts[first]) + count)
-            rows = np.arange(pick.start, pick.stop)
-        else:
-            rows = pick = np.arange(count) + (starts[chunk] - bounds).repeat(lengths)
-        fidelity, bound, s_log, at = _density_segments(rho, table, held, pick, rows, bounds, lengths)
-        cols = live[chunk]
-        result.fidelity[0, cols], result.bound[0, cols] = norm[chunk] * fidelity, norm[chunk] * bound
-        result.s_log[0, cols], result.s_left[0, cols], result.s_m[0, cols] = s_log, table.left[at], table.right[at]
+    for first in range(0, count, step):
+        chunk = slice(first, min(first + step, count))
+        edges = table.offsets[low + chunk.start : low + chunk.stop + 1]
+        for out, part in zip(per_order, _density_segments(rho, table, held, edges)):
+            out[chunk] = part
+    fidelity, bound, s_log, at = (part[picked - low] for part in per_order)
+    norm = result.norm[live] = _order_tables(n_eff).norm[picked]
+    result.fidelity[0, live], result.bound[0, live] = norm * fidelity, norm * bound
+    result.s_log[0, live], result.s_left[0, live], result.s_m[0, live] = s_log, table.left[at], table.right[at]
 
 
-# Below this cutoff exp(log B - log S) is finite for every density pair.  At
-# order n the smallest B of any pair is n!, so S >= n!, and B^2 = (n!)^2
-# C(m'+n, n) C(n'+n, n) <= (n!)^2 2^(m'+n'+2n) <= (n!)^2 4^cutoff: B / S <=
-# 2^cutoff, below the float64 maximum (about 2^1024) with room for the
-# rounding of log B and log S.  Above it, terms take the log-magnitude form.
-_EXP_CUTOFF = 1000
-
-
-def _density_segments(rho, table, held, pick, rows, bounds, lengths):
+def _density_segments(rho, table, held, edges):
     """sum |v|, |sum v B / S|, log S and the table row of S's pair (nan and
-    one past the last row without a supported pair) of each segment of a
-    density matrix's pairs v at the pair table ``rows``, read through
-    ``pick`` (the same rows as a slice or an index array): one order's pairs
-    start at each of ``bounds`` and run for ``lengths``."""
-    values = rho._flat[table.position[pick]]
-    log_b = table.log_b[pick]
-    masked = np.where(held[table.row_pop[pick]] & held[table.col_pop[pick]], log_b, -np.inf)
+    one past the last row without a supported pair) of each order of a
+    density matrix's pairs v, whose pairs sit in the pair table from each of
+    ``edges`` to the next; every order n <= cutoff has pairs, so no segment
+    is empty, as reduceat needs."""
+    rows = slice(edges[0], edges[-1])
+    bounds, lengths = edges[:-1] - edges[0], edges[1:] - edges[:-1]
+    values = rho._flat[table.position[rows]]
+    log_b = table.log_b[rows]
+    masked = np.where(held[table.row_pop[rows]] & held[table.col_pop[rows]], log_b, -np.inf)
     s_log = np.maximum.reduceat(masked, bounds)
     found = s_log > -np.inf
     # without support S = +inf, which zeroes every term and so c_n
     s_rep = np.where(found, s_log, np.inf).repeat(lengths)
     # S's pair: the first row of its segment whose log B is log S
-    at = np.minimum.reduceat(np.where(masked == s_rep, rows, len(table.log_b)), bounds)
+    at = np.minimum.reduceat(np.where(masked == s_rep, np.arange(rows.start, rows.stop), len(table.log_b)), bounds)
     # Every pair enters the sum, the unsupported ones with weights B / S
-    # that may exceed 1 (see ``_order_core`` on a certified c_n).
+    # that may exceed 1 (see ``_order_core`` on a certified c_n).  B / S
+    # stays finite: at order n the smallest B of any pair is n!, so S >= n!,
+    # and B^2 = (n!)^2 C(m'+n, n) C(n'+n, n) <= (n!)^2 2^(m'+n'+2n) <=
+    # (n!)^2 4^cutoff, so B / S <= 2^cutoff, below the float64 maximum
+    # (about 2^1024) up to cutoff 1000 with room for the rounding of log B
+    # and log S.
     ratio = log_b - s_rep  # log (B / S)
-    if rho.cutoff <= _EXP_CUTOFF:
-        terms = values * np.exp(ratio, out=ratio)
-    else:
-        _, log_mag, unit = _polar(values)
-        log_mag += ratio
-        terms = unit * np.exp(log_mag, out=log_mag)
+    terms = values * np.exp(ratio, out=ratio)
     return (
         np.add.reduceat(np.abs(values), bounds),
         np.abs(np.add.reduceat(terms, bounds)),

@@ -12,8 +12,8 @@ channel and the coherence spread are a fixed number of whole-array passes
 over it, through per-cutoff cached index arrays (``_block_index``), and so
 are the mode rotations (``interferometry``).  The coherence elements of
 every order are listed once per cutoff in a cached pair table
-(``_pair_table``), which ``coherences`` slices and the order kernel
-(``coherence``) gathers from.  The dense matrix over
+(``_pair_table``), which ``coherences`` and the order kernel
+(``coherence``) read in slices.  The dense matrix over
 flattened pairs (n_a, n_b) -> n_a * (cutoff + 1) + n_b is only an output,
 ``entries``, that no library path reads.
 
@@ -413,8 +413,10 @@ class TwoModeDensityMatrix:
 
     def max_supported_total(self, eps: float) -> int:
         """Largest n_a + n_b carrying probability above ``eps``."""
-        n_a, n_b = np.nonzero(self._populations > eps)
-        return int((n_a + n_b).max()) if n_a.size else 0
+        probs = self.diagonal_probabilities()
+        na, nb = np.indices(probs.shape)
+        totals = (na + nb)[probs > eps]
+        return int(totals.max()) if totals.size else 0
 
 
 @dataclass(frozen=True)
