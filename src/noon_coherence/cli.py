@@ -56,30 +56,142 @@ def format_float(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _round_floats(obj, precision: int):
-    if isinstance(obj, float):
-        return float(format_float(obj, precision))
-    if isinstance(obj, dict):
-        return {key: _round_floats(val, precision) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(val, precision) for val in obj]
-    return obj
-
-
 def csv_text(header: list[str], rows: list[list], precision: int, comments=()) -> str:
-    def cell(value) -> str:
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return format_float(float(value), precision)
-
+    """Comment lines, the header, then each row through one %-template: a
+    column of integers as ``str(int)``, any other number as
+    ``format_float`` writes it."""
+    spec = f"%.{precision}g"
+    columns = list(zip(*rows))
+    specs = []
+    for index, column in enumerate(columns):
+        integral = [issubclass(kind, (int, np.integer)) for kind in set(map(type, column))]
+        if all(integral):
+            specs.append("%d")
+        elif not any(integral):
+            specs.append(spec)
+        else:  # a mixed column, cell by cell
+            columns[index] = [str(int(v)) if isinstance(v, (int, np.integer))
+                              else format_float(float(v), precision) for v in column]
+            specs.append("%s")
+    # Every cell is written after a ",", so a "-0" cell, which %g writes for
+    # -0.0 alone (its exponents have two digits), is ",-0" before "," or
+    # "\n"; the two passes catch adjacent ones.  The leading "," goes last.
+    body = "".join(map(f",{','.join(specs)}\n".__mod__, zip(*columns)))
+    for old, new in ((",-0,", ",0,"), (",-0,", ",0,"), (",-0\n", ",0\n")):
+        body = body.replace(old, new)
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(header))
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + body.replace("\n,", "\n")[1:]
+
+
+_FLOAT_WORDS = {"-0": "0.0", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(text: str) -> str:
+    """JSON text of the float that the %g text ``text`` reads as:
+    repr(float(text)), with -0 as 0.0 (``format_float`` writes -0.0 as 0)
+    and nan and the infinities as json.dumps writes them."""
+    return _FLOAT_WORDS.get(text) or repr(float(text))
+
+
+def _json_floats(values, precision: int) -> list[str]:
+    """repr(float(format_float(x, precision))) of each float x, in JSON.
+
+    Up to 15 significant digits (DBL_DIG) a decimal in the normal range is
+    the shortest repr of the float it parses to.  So a %g text is already
+    that repr when it has a "." (repr writes 5 as 5.0) and neither an "e+"
+    (repr writes that form in full below 1e16) nor an "e-3" (e-30 to e-39,
+    and from e-300 on, where subnormals hold fewer digits)."""
+    texts = map(f"%.{precision}g".__mod__, values)
+    if precision > 15:
+        return list(map(_json_float, texts))
+    return [t if "." in t and "e+" not in t and "e-3" not in t else _json_float(t) for t in texts]
+
+
+def _json_scalars(values, precision: int) -> list[str] | None:
+    """JSON text of each value of a list of scalars, floats rounded to
+    ``precision`` digits; None when the list holds a container."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if all(issubclass(kind, float) for kind in kinds):
+        return _json_floats(values, precision)
+    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        return None
+    return [_json_floats([v], precision)[0] if isinstance(v, float) else json.dumps(v) for v in values]
+
+
+def _json_key(key) -> str:
+    """A key as json.dumps writes it, a non-string one in its JSON text."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _json_rows(items: list, precision: int, pad: str) -> str | None:
+    """The items of a non-empty list joined at ``pad`` when they are scalars,
+    or flat records sharing one key set, which are formatted column by column
+    and written through one %-template; None for any other list."""
+    first = items[0]
+    if not (isinstance(first, dict) and first):
+        texts = _json_scalars(items, precision)
+        return None if texts is None else ("," + pad).join(texts)
+    if any(isinstance(value, (dict, list, tuple)) for value in first.values()):
+        return None
+    keys = first.keys()
+    if not all(isinstance(item, dict) and item.keys() == keys for item in items):
+        return None
+    names = sorted(keys)
+    columns = []
+    for name in names:
+        texts = _json_scalars([item[name] for item in items], precision)
+        if texts is None:
+            return None
+        columns.append(texts)
+    inner = pad + "  "
+    fields = ",".join(f"{inner}{_json_key(name).replace('%', '%%')}: %s" for name in names)
+    template = "{" + fields + pad + "}"
+    return ("," + pad).join(map(template.__mod__, zip(*columns)))
+
+
+def _json_parts(obj, precision: int, pad: str, parts: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``parts`` as ``json.dumps`` writes
+    it with ``sort_keys=True, indent=2``; ``pad`` is a newline plus the
+    indentation of ``obj``'s own line."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(obj):
+            parts.append(f"{sep}{_json_key(key)}: ")
+            _json_parts(obj[key], precision, inner, parts)
+            sep = "," + inner
+        parts.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        rows = _json_rows(obj, precision, inner)
+        if rows is not None:
+            parts.append(f"[{inner}{rows}{pad}]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _json_parts(item, precision, inner, parts)
+            sep = "," + inner
+        parts.append(pad + "]")
+    else:
+        parts.append(_json_scalars([obj], precision)[0])
 
 
 def json_text(obj, precision: int) -> str:
-    return json.dumps(_round_floats(obj, precision), sort_keys=True, indent=2) + "\n"
+    """``obj`` as JSON with sorted keys and an indent of 2, each float
+    rounded to ``precision`` significant digits."""
+    parts: list[str] = []
+    _json_parts(obj, precision, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_output(path: str | None, text: str) -> None:

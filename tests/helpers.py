@@ -1,5 +1,6 @@
 """Shared test utilities: random states and mixtures with fixed seeds."""
 
+import json
 import math
 import os
 from pathlib import Path
@@ -16,6 +17,7 @@ from noon_coherence import (
     normalization,
 )
 from noon_coherence.channels import LossSetting, _damping_transfer, _log_pow
+from noon_coherence.cli import format_float
 from noon_coherence.dynamics import (
     DEGENERACY_FLOOR_ULPS,
     JosephsonSystem,
@@ -461,3 +463,34 @@ def cli_env(threads=None):
     else:
         env.pop("NOON_COHERENCE_THREADS", None)
     return env
+
+
+def reference_json_text(obj, precision: int) -> str:
+    """The CLI's JSON text from the standard encoder: each float rounded
+    through ``format_float``, then ``sort_keys=True, indent=2``."""
+
+    def rounded(item):
+        if isinstance(item, float):
+            return float(format_float(item, precision))
+        if isinstance(item, dict):
+            return {key: rounded(val) for key, val in item.items()}
+        if isinstance(item, (list, tuple)):
+            return [rounded(val) for val in item]
+        return item
+
+    return json.dumps(rounded(obj), sort_keys=True, indent=2) + "\n"
+
+
+def reference_csv_text(header, rows, precision: int, comments=()) -> str:
+    """The CLI's CSV text one cell at a time: integers as ``str(int)``, any
+    other number through ``format_float``."""
+
+    def cell(value) -> str:
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format_float(float(value), precision)
+
+    lines = [f"# {comment}" for comment in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

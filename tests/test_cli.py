@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noon_coherence import cli, coherence, dynamics
 from noon_coherence.errors import NumericalError
 from noon_coherence.states import make_number_pair
 
-from helpers import cli_env
+from helpers import cli_env, reference_csv_text, reference_json_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -152,6 +153,95 @@ def test_json_format(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert len(payload["orders"]) == 4
+
+
+def test_splitter_json_matches_fixture(tmp_path):
+    result = run_cli(["splitter", "--n", "5", "--format", "json", "--output", "spl.json"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "spl.json").read_bytes() == (FIXTURES / "splitter_n5.json").read_bytes()
+
+
+JSON_PRECISIONS = (1, 3, 12, 17)
+JSON_COMMANDS = {
+    **{f"splitter-{n}": ["splitter", "--n", str(n)] for n in (1, 2, 5, 40, 500)},
+    "splitter-eta": ["splitter", "--n", "100", "--eta", "0.5,0.8"],
+    "attenuate": ["attenuate", "--n", "50", "--eta", "0.8", "--orders", "all"],
+    "dynamics": ["dynamics", "--n", "20", "--g", "4", "--nl", "4", "--orders", "all",
+                 "--times", "grid:0:T:20"],
+    "fringes": ["fringes", "--state", '{"kind": "embedded_initial", "n": 20, "n_l": 4}', "--m", "12"],
+    "infer": ["infer", "--data", str(FIXTURES / "infer_rows.csv")],
+    "infer-zero-xi": ["infer", "--data", "rows.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
+def test_json_text_matches_the_standard_encoder_on_every_command(monkeypatch, tmp_path, argv):
+    (tmp_path / "rows.csv").write_text("n,jx,jy,jz,jy2,jz2\n100,0,0,0,25,0\n100,40,0,0,40,10\n")
+    writer, payloads = cli.json_text, []
+
+    def spy(obj, precision):
+        payloads.append(obj)
+        return writer(obj, precision)
+
+    monkeypatch.setattr(cli, "json_text", spy)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--format", "json", "--output", "out.json"]) == 0
+    (payload,) = payloads
+    for precision in JSON_PRECISIONS:
+        assert writer(payload, precision) == reference_json_text(payload, precision), precision
+
+
+def test_json_text_matches_the_standard_encoder_on_edge_cases():
+    edge = {
+        "orders": [{"n": 3, "S": math.nan, "s_pair": None, "c_n": 0.0, "elements": []}],
+        "floats": [math.inf, -math.inf, -0.0, 0.0, 5.0, -5.0, 123456789012.0, 1e15, 1e16,
+                   5e-5, 1e-4, 2.5e-300, np.float64(0.1), np.float64(-0.0), np.float64(1e300)],
+        "flags": [True, False, None, 0, -7, 10**20],
+        "empty": [[], {}, (), [[]], [{}]],
+        "10": 1, "2": 2, "-1": 3, "": 4,
+        "text": ["quote \" back \\ tab \t newline \n", "é ☃ \U0001f600 \x00", ""],
+        "esc\u00e9ped \"key\"": "value",
+        "%s": [{"%d": 1.5, "a%%b": True, "c": "x%sy", "d": None},
+               {"%d": -0.0, "a%%b": False, "c": "", "d": 2}],
+        "records": [{"b": -0.0, "a": 1}, {"a": 2, "b": np.float64(2.5)}],
+        "ragged": [{"a": 1}, {"b": 2}, {"a": 1, "b": 2}],
+        "nested": [{"a": [1.0]}, {"a": {"x": ()}}],
+        "mixed": [1, 2.5, "s", None, True, np.float64(3.0), math.nan, (1, 2.0)],
+        "tuple": (0.25, 7),
+    }
+    rng = np.random.default_rng(23)
+    mantissas = rng.uniform(-10.0, 10.0, 400)
+    sweep = (mantissas * 10.0 ** rng.integers(-30, 31, 400)).tolist()
+    sweep += [float(10**k) for k in range(25)] + [1.5 * 10.0**k for k in range(-8, 20)]
+    sweep += np.round(mantissas * 1e6).tolist() + [0.1 + 0.2, 1 / 3, 2.0 / 3.0, 999999999999.5]
+    # subnormals hold fewer than 15 digits, and the smallest normals print as them
+    sweep += [5e-324, -1e-320, 1.5e-310, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300]
+    for precision in JSON_PRECISIONS:
+        assert cli.json_text(edge, precision) == reference_json_text(edge, precision), precision
+        for scalar in (1.5, -0.0, math.nan, -math.inf, "x", None, 7, True, [], {}):
+            assert cli.json_text(scalar, precision) == reference_json_text(scalar, precision)
+    for precision in range(1, 18):
+        payload = {"list": sweep, "records": [{"x": x, "i": i} for i, x in enumerate(sweep)]}
+        assert cli.json_text(payload, precision) == reference_json_text(payload, precision), precision
+
+
+def test_csv_text_matches_the_cell_by_cell_writer():
+    rng = np.random.default_rng(9)
+    values = (rng.uniform(-10.0, 10.0, 60) * 10.0 ** rng.integers(-20, 21, 60)).tolist()
+    values += [0.0, -0.0, 5.0, 123456789012.0, 1e16, 5e-5, math.nan, math.inf, -math.inf]
+    rows = [
+        # -0.0 first, last and side by side; ints, numpy ints and bools; a
+        # column that mixes large ints with floats
+        [-0.0, i, np.int64(-i), -0.0, -0.0, x, np.float64(x), i % 2 == 0,
+         10**14 + i if i % 2 else x, np.int32(i) if i % 3 else -0.0, -0.0]
+        for i, x in enumerate(values)
+    ]
+    header = [f"h{k}" for k in range(len(rows[0]))]
+    for precision in JSON_PRECISIONS:
+        expected = reference_csv_text(header, rows, precision, ["t=1 x=2"])
+        assert cli.csv_text(header, rows, precision, ["t=1 x=2"]) == expected, precision
+        assert cli.csv_text(["only"], [[-0.0], [0.0]], precision) == "only\n0\n0\n"
+    assert cli.csv_text(["a", "b"], [], 12) == "a,b\n"
 
 
 def test_validation_errors_exit_2(tmp_path):
